@@ -28,7 +28,7 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
     }
 
     const std::uint64_t r = ctx.round();
-    if (r >= p_->total_rounds()) {
+    if (r >= total_rounds_) {
         leader_ = candidate_ && !killed_ && mark_max_ == id_;
         ctx.halt();
         return;
@@ -71,7 +71,7 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
     if (candidate_ && mark_max_ > id_) killed_ = true;
 
     // --- move tokens (walk phase only; drain phase only forwards kills) ---
-    if (r < p_->walk_len()) {
+    if (r < walk_len_) {
         for (auto& [wid, cnt] : tokens_) {
             std::uint64_t staying = 0;
             for (std::uint64_t t = 0; t < cnt; ++t) {

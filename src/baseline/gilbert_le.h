@@ -94,7 +94,10 @@ public:
     using message_type = gl_msg;
 
     gilbert_node(std::size_t degree, const gilbert_params& params)
-        : degree_(degree), p_(&params) {}
+        : degree_(degree),
+          p_(&params),
+          walk_len_(params.walk_len()),
+          total_rounds_(params.total_rounds()) {}
 
     void on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox);
 
@@ -114,6 +117,9 @@ private:
 
     std::size_t degree_;
     const gilbert_params* p_;
+    // Round schedule, evaluated once: the accessors do log2 + ceil.
+    std::uint64_t walk_len_;
+    std::uint64_t total_rounds_;
 
     bool inited_ = false;
     bool candidate_ = false;

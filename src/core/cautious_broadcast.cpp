@@ -79,6 +79,34 @@ void cb_exec::process_receptions(const cb_config& cfg) {
     pending_.clear();
 }
 
+bool cb_exec::idle(const cb_config& cfg) const {
+    // Mirrors step() with nothing buffered: process_receptions is then a
+    // no-op and the wave/report flags are clear (transmit always clears
+    // what process_receptions set), so only transmit's own triggers
+    // remain.
+    if (!pending_.empty()) return false;
+    if (!in_tree_) return true;
+    if (!reporters_.empty() || got_activate_ || got_deactivate_ || got_child_update_) {
+        return false;
+    }
+    if (status_ == cb_status::stopped) {
+        // The stop wave is fully sent once the latch and every per-child
+        // flag are set.
+        return stop_told_ &&
+               std::all_of(child_stop_told_.begin(), child_stop_told_.end(),
+                           [](char told) { return told != 0; });
+    }
+    if (adopted_this_round_) return false;  // the adoption ack is due
+    const std::uint64_t c = subtree_count();
+    if (c != confirmed_ || c >= cfg.cap) return false;
+    if (cfg.report_every_round && !is_root_) return false;
+    if (cfg.throttle && c > report_next_) return false;  // a crossing is due
+    // Extension: an active node with a free port invites (and draws).
+    const bool may_extend = status_ == cb_status::active &&
+                            (!cfg.throttle || c <= report_next_);
+    return !may_extend || used_.size() >= degree_;
+}
+
 void cb_exec::upsert_child(port_id p, std::uint64_t sz, bool reporter) {
     got_child_update_ = true;
     const std::size_t i = child_index(p);

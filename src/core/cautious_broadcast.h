@@ -113,6 +113,16 @@ public:
         transmit(cfg, rng, std::forward<Send>(send));
     }
 
+    // True iff step(cfg, ...) would be a no-op right now: no message
+    // buffered, nothing to send, no random draw, no state change. Callers
+    // that multiplex executions use it to skip quiescent ones; it stays
+    // true until the next receive(). It re-derives every trigger step()
+    // checks (recomputed subtree count against cap and threshold, free
+    // ports) instead of trusting a cached status, so a crossing left
+    // pending by an adoption step, which defers threshold handling,
+    // counts as work.
+    [[nodiscard]] bool idle(const cb_config& cfg) const;
+
     // --- observers (harness/tests) ---
     [[nodiscard]] bool in_tree() const noexcept { return in_tree_; }
     [[nodiscard]] bool is_root() const noexcept { return is_root_; }
@@ -142,11 +152,12 @@ private:
         return children_.size();
     }
     void upsert_child(port_id p, std::uint64_t sz, bool reporter);
-    void recompute_confirmed() {
+    [[nodiscard]] std::uint64_t subtree_count() const noexcept {
         std::uint64_t c = 1;
         for (std::uint64_t s : child_size_) c += s;
-        confirmed_ = c;
+        return c;
     }
+    void recompute_confirmed() { confirmed_ = subtree_count(); }
     // Smallest power of two >= v ("exceeds 2^i": the next report fires
     // only when confirmed_ becomes strictly greater than this).
     [[nodiscard]] static std::uint64_t pow2_at_least(std::uint64_t v) {

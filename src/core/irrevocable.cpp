@@ -19,12 +19,17 @@ void irrevocable_node::on_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox)
     if (!inited_) init(ctx);
 
     const std::uint64_t r = ctx.round();
-    if (r < p_->bc_end()) {
+    if (r < sched_.bc_end) {
         broadcast_round(ctx, inbox);
-    } else if (r < p_->walk_end()) {
+        ctx.sleep_until(next_broadcast_wake(r));
+    } else if (r < sched_.walk_end) {
         walk_round(ctx, inbox);
-    } else if (r < p_->total_rounds()) {
+        // Token holders move every round; everyone else waits for mail.
+        ctx.sleep_until(walk_count_ == 0 ? sched_.walk_end : r + 1);
+    } else if (r < sched_.total_rounds) {
         convergecast_round(ctx, inbox);
+        // After the first round's setup and push, only mail changes state.
+        ctx.sleep_until(sched_.total_rounds);
     } else {
         // Stragglers from the last convergecast round still count.
         for (const auto& [port, msg] : inbox) {
@@ -51,9 +56,25 @@ cb_exec& irrevocable_node::exec_for(std::uint64_t exec_id) {
     if (it == execs_.end()) {
         it = execs_.emplace(exec_id, cb_exec(degree_)).first;
         slots_.push_back(exec_id);
-        if (slots_.size() > p_->super_round()) ++overflows_;
+        if (slots_.size() > sched_.super_round) ++overflows_;
     }
     return it->second;
+}
+
+// The first round after r whose slot holds an execution with work, or
+// bc_end if none does. Idleness only ends on a receive, and receives
+// only happen on rounds with mail, which wake the node anyway.
+std::uint64_t irrevocable_node::next_broadcast_wake(std::uint64_t r) const {
+    const std::uint64_t width = sched_.super_round;
+    const std::uint64_t slot = r % width;
+    const std::uint64_t used = std::min<std::uint64_t>(slots_.size(), width);
+    std::uint64_t wait = width + 1;  // sentinel: no slot has work
+    for (std::uint64_t i = 0; i < used; ++i) {
+        const std::uint64_t d = i > slot ? i - slot : i + width - slot;
+        if (d >= wait || execs_.at(slots_[i]).idle(cfg_)) continue;
+        wait = d;
+    }
+    return wait > width ? sched_.bc_end : std::min(r + wait, sched_.bc_end);
 }
 
 void irrevocable_node::broadcast_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox) {
@@ -64,7 +85,7 @@ void irrevocable_node::broadcast_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg>
     }
 
     // One execution per engine round: slot index cycles each super-round.
-    const std::uint64_t slot = ctx.round() % p_->super_round();
+    const std::uint64_t slot = ctx.round() % sched_.super_round;
     if (slot >= slots_.size()) return;
     // Executions past the slot capacity (whp none) are simply never
     // stepped, matching the paper's "assign arbitrary 4c·log n executions
@@ -73,17 +94,14 @@ void irrevocable_node::broadcast_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg>
     auto it = execs_.find(exec_id);
     if (it == execs_.end()) return;
 
-    cb_config cfg;
-    cfg.cap = p_->territory_cap();
-    cfg.throttle = p_->cautious_throttle;
-    it->second.step(cfg, ctx.rng(),
+    it->second.step(cfg_, ctx.rng(),
                     [&ctx, exec_id](port_id p, cb_kind k, std::uint64_t v) {
                         ctx.send(p, ir_msg{to_ir_kind(k), exec_id, v});
                     });
 }
 
 void irrevocable_node::walk_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox) {
-    const bool launch = ctx.round() == p_->bc_end() && candidate_;
+    const bool launch = ctx.round() == sched_.bc_end && candidate_;
     if (inbox.empty() && walk_count_ == 0 && !launch) return;  // idle fast path
 
     // Receive: merge token batches, absorb larger IDs (Algorithm 5).
@@ -93,12 +111,9 @@ void irrevocable_node::walk_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbo
             // so tree state (parents are what convergecast needs) is
             // complete. The execution emits nothing further.
             if (msg.k <= ir_msg::kind::cb_refresh) {
-                cb_config cfg;
-                cfg.cap = p_->territory_cap();
-                cfg.throttle = p_->cautious_throttle;
                 cb_exec& e = exec_for(msg.exec);
                 e.receive(port, to_cb_kind(msg.k), msg.value);
-                e.step(cfg, ctx.rng(), [](port_id, cb_kind, std::uint64_t) {});
+                e.step(cfg_, ctx.rng(), [](port_id, cb_kind, std::uint64_t) {});
             }
             continue;
         }
@@ -116,7 +131,7 @@ void irrevocable_node::walk_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbo
     if (launch) {
         // All x tokens leave the candidate at the first walk round
         // (Algorithm 5 lines 4-6).
-        for (std::uint64_t i = 0; i < p_->x(); ++i) {
+        for (std::uint64_t i = 0; i < sched_.x; ++i) {
             emit(static_cast<port_id>(ctx.rng().below(degree_)));
         }
     } else {
@@ -211,6 +226,7 @@ irrevocable_result run_irrevocable(const graph& g, const irrevocable_params& par
 
     irrevocable_result res;
     res.rounds = eng.round();
+    res.node_steps = eng.node_steps();
     res.totals = eng.metrics().total();
     res.phase_broadcast = eng.metrics().phase("broadcast");
     res.phase_walk = eng.metrics().phase("walk");

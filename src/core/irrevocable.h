@@ -35,6 +35,16 @@
 // than Cautious broadcast" messages, which every-round sending would
 // violate (same reconciliation as Algorithm 4 line 24; see
 // core/cautious_broadcast.h).
+//
+// Active-set rounds: in a typical broadcast round almost no node has a
+// slot with work, so nodes use the engine's wake hint (sim/engine.h).
+// After each broadcast step a node sleeps until its next slot whose
+// execution is not idle (cb_exec::idle), or until bc_end; in the walk
+// phase a node without tokens sleeps until walk_end; after its first
+// convergecast round it sleeps until the decision round. Mail wakes it
+// earlier. Every skipped round is one the node would have spent without
+// sending, drawing randomness or changing state, so results are exactly
+// those of stepping every node every round.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +98,10 @@ public:
     using message_type = ir_msg;
 
     irrevocable_node(std::size_t degree, const irrevocable_params& params)
-        : degree_(degree), p_(&params) {}
+        : degree_(degree), p_(&params), sched_(params.schedule()) {
+        cfg_.cap = sched_.territory_cap;
+        cfg_.throttle = params.cautious_throttle;
+    }
 
     void on_round(node_ctx<ir_msg>& ctx, inbox_view<ir_msg> inbox);
 
@@ -113,12 +126,15 @@ private:
     void decide(node_ctx<ir_msg>& ctx);
 
     cb_exec& exec_for(std::uint64_t exec_id);
+    [[nodiscard]] std::uint64_t next_broadcast_wake(std::uint64_t r) const;
     void absorb_id(std::uint64_t id) noexcept {
         if (id > id_max_) id_max_ = id;
     }
 
     std::size_t degree_;
     const irrevocable_params* p_;
+    irrevocable_schedule sched_;
+    cb_config cfg_;
 
     bool inited_ = false;
     bool candidate_ = false;
@@ -158,6 +174,9 @@ struct irrevocable_result {
     phase_counters phase_walk;
     phase_counters phase_convergecast;
     std::vector<std::uint64_t> territory_sizes;  // per candidate (tree size)
+    // on_round calls the engine executed (engine::node_steps); nodes
+    // sleep through rounds with no slot work, mail or tokens.
+    std::uint64_t node_steps = 0;
     oracle_report oracle;  // sim/oracle.h safety verdicts
 };
 

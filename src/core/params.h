@@ -29,6 +29,19 @@ namespace anole {
 // Irrevocable LE (paper §4)
 // ---------------------------------------------------------------------------
 
+// The integer round schedule of Algorithm 1, evaluated once by
+// irrevocable_params::schedule(). The params accessors recompute their
+// log2/ceil formulas on every call; protocol nodes read these fields on
+// every round instead. Each field equals the accessor of the same name.
+struct irrevocable_schedule {
+    std::uint64_t super_round = 1;
+    std::uint64_t bc_end = 0;
+    std::uint64_t walk_end = 0;
+    std::uint64_t total_rounds = 0;
+    std::uint64_t territory_cap = UINT64_MAX;
+    std::uint64_t x = 1;  // walks per candidate
+};
+
 struct irrevocable_params {
     // --- model inputs ---
     std::size_t n = 0;        // known network size (or linear upper bound)
@@ -119,6 +132,17 @@ struct irrevocable_params {
         require(tmix >= 1, "irrevocable_params: tmix >= 1");
         require(phi > 0 && phi <= 1.0, "irrevocable_params: phi in (0,1]");
         require(c > 0 && cand_c > 0, "irrevocable_params: constants > 0");
+    }
+
+    // Validates, then evaluates the round schedule once.
+    [[nodiscard]] irrevocable_schedule schedule() const {
+        validate();
+        return {.super_round = super_round(),
+                .bc_end = bc_end(),
+                .walk_end = walk_end(),
+                .total_rounds = total_rounds(),
+                .territory_cap = territory_cap(),
+                .x = x()};
     }
 };
 

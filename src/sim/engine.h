@@ -20,9 +20,25 @@
 //                   inbox_view<message_type> inbox);
 //
 // The inbox is the list of (arrival port, message) pairs delivered this
-// round, in a deterministic but protocol-unobservable order. on_round is
-// called every round for every non-halted node. A node that calls
-// ctx.halt() is never stepped again and sends nothing.
+// round, in a deterministic but protocol-unobservable order. By default
+// on_round is called every round for every non-halted node. A node that
+// calls ctx.halt() is never stepped again and sends nothing.
+//
+// --- wake hint: active-set rounds ---
+//
+// A protocol may opt in to skipping rounds it has no work in by calling
+// ctx.sleep_until(r): the node is then not stepped before round r unless
+// a message is live on one of its in-ports this round (checked after the
+// dynamics pass, so relocated, lost and released messages count
+// correctly). The hint is sticky until the node overwrites it; a hint at
+// or before the current round (sleep_until(0) in particular) means
+// "every round", the default. A membership rejoin clears it. The
+// contract is on the protocol: a skipped round must be indistinguishable
+// from an on_round call that sends nothing, draws no randomness and
+// changes no state — waking early is always safe, sleeping through work
+// is not. Each node writes only its own hint, so sharded rounds stay
+// bitwise-identical to serial ones. node_steps() counts the on_round
+// calls actually made.
 //
 // --- message transport: flat single-writer slots ---
 //
@@ -66,11 +82,11 @@
 // paper's own accounting of bit-by-bit potential transmission.
 //
 // CONGEST-guard checks (port range, double send) are hard errors in
-// Debug builds and compiled out in Release — the tier-1 test suite runs
-// Debug, so protocol violations are still caught where it matters, while
-// the measured hot path carries no per-send branch for them. Budget
-// violations are *model semantics*, not guards, and throw in every
-// configuration.
+// Debug builds and compiled out in Release, so the measured hot path
+// carries no per-send branch for them. The default build type (and so
+// the tier-1 test command) is Release, where the two guard tests skip;
+// the Debug CI job is what exercises them. Budget violations are *model
+// semantics*, not guards, and throw in every configuration.
 #pragma once
 
 #include <algorithm>
@@ -239,6 +255,7 @@ struct engine_round_acc {
     std::uint64_t messages = 0;
     std::uint64_t bits = 0;
     std::uint64_t max_frag = 1;
+    std::uint64_t node_steps = 0;
     std::size_t newly_halted = 0;
     std::exception_ptr error;
 };
@@ -292,6 +309,11 @@ public:
     void halt() noexcept { halted_flag_ = true; }
     [[nodiscard]] bool halted() const noexcept { return halted_flag_; }
 
+    // Wake hint (see the engine's header comment): do not step this node
+    // before round r unless mail arrives. Sticky until overwritten;
+    // sleep_until(0) restores the every-round default.
+    void sleep_until(std::uint64_t r) noexcept { *wake_ = r; }
+
 private:
     template <class P>
     friend class engine;
@@ -304,6 +326,7 @@ private:
     std::uint32_t* out_stamp_ = nullptr;
     Msg* out_msg_ = nullptr;
     std::uint32_t stamp_ = 0;
+    std::uint64_t* wake_ = nullptr;  // this node's entry of the engine's hints
     std::uint64_t budget_bits_ = 0;
     budget_mode budget_mode_ = budget_mode::count_only;
     // Per-node cost counters, folded into the round accumulator by the
@@ -350,6 +373,7 @@ public:
         rngs_.reserve(n);
         for (node_id u = 0; u < n; ++u) rngs_.emplace_back(derive_seed(seed, u, 0xA0CE));
         halted_.assign(n, 0);
+        wake_.assign(n, 0);
         present_.assign(n, 1);
         crashed_.assign(n, 0);
         present_count_ = n;
@@ -472,6 +496,7 @@ public:
         }
 
         halted_count_ += total.newly_halted;
+        node_steps_ += total.node_steps;
         std::swap(cur_msg_, nxt_msg_);
         std::swap(cur_stamp_, nxt_stamp_);
         metrics_.count_messages(total.messages, total.bits);
@@ -552,8 +577,9 @@ private:
 
     // Replaces u's protocol instance with a freshly constructed one (its
     // RNG stream continues — streams are per node index, not per
-    // incarnation, so determinism is unaffected).
+    // incarnation, so determinism is unaffected) and clears its wake hint.
     void respawn(node_id u) {
+        wake_[u] = 0;
         if constexpr (std::is_move_assignable_v<P>) {
             procs_[u] = factory_(static_cast<std::size_t>(u));
         } else {
@@ -592,6 +618,7 @@ private:
                 total.messages += a.messages;
                 total.bits += a.bits;
                 total.newly_halted += a.newly_halted;
+                total.node_steps += a.node_steps;
                 if (a.max_frag > total.max_frag) total.max_frag = a.max_frag;
             }
         }
@@ -633,6 +660,9 @@ public:
         return halted_[u] != 0;
     }
     [[nodiscard]] std::uint64_t budget_bits() const noexcept { return budget_bits_; }
+    // on_round calls executed so far: a deterministic work counter,
+    // identical for every node_jobs value.
+    [[nodiscard]] std::uint64_t node_steps() const noexcept { return node_steps_; }
 
     void set_phase(const std::string& name) { metrics_.begin_phase(name); }
 
@@ -651,19 +681,24 @@ private:
             // asleep() is read-only, so the shard stays race-free.
             if (dyn_ && dyn_->asleep(u, round_)) continue;
             const std::size_t base = slot_base_[u];
+            const std::size_t degree = g_.degree(u);
+            const inbox_view<message_type> inbox{cur_msg_.data(), cur_stamp_.data(),
+                                                 peer_slot_.data() + base, mark,
+                                                 static_cast<port_id>(degree)};
+            // Wake hint: a sleeping node runs only when mail is live.
+            if (wake_[u] > round_ && inbox.empty()) continue;
+            ++acc.node_steps;
             node_ctx<message_type> ctx;
-            ctx.degree_ = g_.degree(u);
+            ctx.degree_ = degree;
             ctx.round_ = round_;
             ctx.rng_ = &rngs_[u];
             ctx.out_stamp_ = nxt_stamp_.data() + base;
             ctx.out_msg_ = nxt_msg_.data() + base;
             ctx.stamp_ = stamp;
+            ctx.wake_ = &wake_[u];
             ctx.budget_bits_ = budget_bits_;
             ctx.budget_mode_ = budget_.mode;
-            procs_[u].on_round(
-                ctx, inbox_view<message_type>{cur_msg_.data(), cur_stamp_.data(),
-                                              peer_slot_.data() + base, mark,
-                                              static_cast<port_id>(ctx.degree_)});
+            procs_[u].on_round(ctx, inbox);
             acc.messages += ctx.messages_;
             acc.bits += ctx.bits_;
             if (ctx.max_frag_ > acc.max_frag) acc.max_frag = ctx.max_frag_;
@@ -698,6 +733,9 @@ private:
     std::vector<P> procs_;
     std::function<P(std::size_t)> factory_;  // retained for membership respawns
     std::vector<char> halted_;
+    // Wake hints: node u is not stepped before round wake_[u] unless it
+    // has mail. Written only from u's own on_round (or a serial respawn).
+    std::vector<std::uint64_t> wake_;
     std::vector<char> present_;  // 0 = departed (left the network)
     std::vector<char> crashed_;  // 1 = silenced by a crash fault
     // Status snapshot for the adaptive adversary, refreshed serially
@@ -711,6 +749,7 @@ private:
     std::vector<std::uint32_t> move_stamp_;
     std::size_t halted_count_ = 0;
     std::size_t present_count_ = 0;
+    std::uint64_t node_steps_ = 0;
     std::uint64_t round_ = 0;
     sim_metrics metrics_;
 };

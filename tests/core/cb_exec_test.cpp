@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cautious_broadcast.h"
@@ -236,6 +238,148 @@ TEST(CbExec, ExtendAllFloodsAllUnusedPorts) {
     for (const auto& m : msgs) EXPECT_EQ(m.kind, cb_kind::source);
     // Everything used: nothing more to invite.
     EXPECT_TRUE(step(e, cfg).empty());
+}
+
+// --- idle(): the wake-hint contract ------------------------------------------
+
+// Everything a caller can observe about one execution.
+struct observed {
+    bool in_tree;
+    bool is_root;
+    cb_status status;
+    std::uint64_t source_id;
+    std::optional<port_id> parent;
+    std::uint64_t confirmed;
+    std::uint64_t threshold;
+    std::vector<port_id> children;
+
+    explicit observed(const cb_exec& e)
+        : in_tree(e.in_tree()),
+          is_root(e.is_root()),
+          status(e.status()),
+          source_id(e.source_id()),
+          parent(e.parent()),
+          confirmed(e.confirmed()),
+          threshold(e.report_threshold()),
+          children(e.children()) {}
+    bool operator==(const observed&) const = default;
+};
+
+// idle() promises that step() sends nothing, draws nothing and changes
+// nothing. Checks that promise on one execution.
+void expect_idle_step_is_noop(cb_exec& e, const cb_config& cfg, std::uint64_t seed,
+                              const std::string& where) {
+    xoshiro256ss rng(seed);
+    xoshiro256ss untouched = rng;
+    const observed before(e);
+    std::vector<sent> out;
+    e.step(cfg, rng, [&out](port_id p, cb_kind k, std::uint64_t v) {
+        out.push_back({p, k, v});
+    });
+    EXPECT_TRUE(out.empty()) << where;
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(rng(), untouched()) << where;
+    EXPECT_TRUE(observed(e) == before) << where;
+    EXPECT_TRUE(e.idle(cfg)) << where;  // still nothing to do
+}
+
+TEST(CbExec, IdleStepIsANoOpUnderRandomTraffic) {
+    xoshiro256ss rng(2024);
+    std::size_t idle_steps = 0;
+    std::size_t busy_steps = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        cb_config cfg;
+        cfg.cap = rng.below(3) == 0 ? UINT64_MAX : 3 + rng.below(10);
+        cfg.throttle = rng.below(4) != 0;
+        cfg.report_every_round = rng.below(6) == 0;
+        cfg.extend_all = rng.below(6) == 0;
+        const std::size_t degree = 1 + rng.below(6);
+        cb_exec e = trial % 3 == 0 ? cb_exec::make_root(degree, 7) : cb_exec(degree);
+        for (int r = 0; r < 30; ++r) {
+            // Sparse traffic, so quiescent stretches actually occur.
+            if (rng.below(3) == 0) {
+                const int injections = 1 + static_cast<int>(rng.below(3));
+                for (int i = 0; i < injections; ++i) {
+                    e.receive(static_cast<port_id>(rng.below(degree)),
+                              static_cast<cb_kind>(rng.below(7)), 1 + rng.below(8));
+                }
+            }
+            const std::uint64_t seed = rng();
+            if (e.idle(cfg)) {
+                ++idle_steps;
+                expect_idle_step_is_noop(e, cfg, seed,
+                                         "trial " + std::to_string(trial) + " round " +
+                                             std::to_string(r));
+            } else {
+                ++busy_steps;
+                (void)step(e, cfg, seed);
+            }
+        }
+    }
+    EXPECT_GT(idle_steps, 1000u);
+    EXPECT_GT(busy_steps, 1000u);
+}
+
+TEST(CbExec, ReceiveEndsIdleness) {
+    cb_exec e(3);
+    cb_config cfg;
+    EXPECT_TRUE(e.idle(cfg));  // outside every tree, nothing buffered
+    e.receive(0, cb_kind::refresh, 2);  // even an ignorable message
+    EXPECT_FALSE(e.idle(cfg));
+    EXPECT_TRUE(step(e, cfg).empty());
+    EXPECT_TRUE(e.idle(cfg));
+}
+
+TEST(CbExec, ActiveNodeWithFreePortIsNeverIdle) {
+    cb_exec e = cb_exec::make_root(2, 5);
+    cb_config cfg;
+    EXPECT_FALSE(e.idle(cfg));  // extension draws a port
+    (void)step(e, cfg);
+    EXPECT_FALSE(e.idle(cfg));  // one port left
+    (void)step(e, cfg);
+    EXPECT_TRUE(e.idle(cfg));  // every port used
+}
+
+// A child's confirm delivered in the same step as the node's own adoption
+// (a rewire can arrange this): the adoption step defers threshold
+// handling, so the crossing is still due afterwards and the execution
+// must not count as idle.
+TEST(CbExec, ConfirmInAdoptionRoundLeavesCrossingPending) {
+    cb_exec e(4);
+    cb_config cfg;
+    e.receive(0, cb_kind::source, 50);
+    e.receive(2, cb_kind::confirm, 1);
+    const auto first = step(e, cfg);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].kind, cb_kind::confirm);
+    EXPECT_EQ(e.confirmed(), 2u);
+    EXPECT_EQ(e.report_threshold(), 1u);
+    EXPECT_FALSE(e.idle(cfg));
+    const auto second = step(e, cfg);  // the deferred crossing
+    bool reported = false;
+    for (const auto& m : second) {
+        if (m.kind == cb_kind::size && m.port == 0 && m.value == 2) reported = true;
+    }
+    EXPECT_TRUE(reported);
+    EXPECT_EQ(e.report_threshold(), 2u);
+    EXPECT_TRUE(e.idle(cfg));
+}
+
+TEST(CbExec, StoppedExecutionIdlesOnceTheWaveIsSent) {
+    cb_exec e(4);
+    cb_config cfg;
+    e.receive(0, cb_kind::source, 50);
+    (void)step(e, cfg);
+    e.receive(1, cb_kind::confirm, 1);
+    (void)step(e, cfg);
+    e.receive(0, cb_kind::stop, 0);
+    EXPECT_FALSE(e.idle(cfg));
+    EXPECT_FALSE(step(e, cfg).empty());  // forwards the stop to the child
+    EXPECT_TRUE(e.idle(cfg));
+    e.receive(3, cb_kind::confirm, 1);  // a late joiner still needs the stop
+    const auto late = step(e, cfg);
+    ASSERT_EQ(late.size(), 1u);
+    EXPECT_EQ(late[0].port, 3u);
+    EXPECT_TRUE(e.idle(cfg));
 }
 
 }  // namespace

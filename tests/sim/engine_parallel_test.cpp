@@ -23,8 +23,10 @@ struct probe_msg {
 
 // RNG-dependent chatter: sends a random value on a random subset of
 // ports, folds what it hears into a running digest, halts at a per-node
-// RNG-drawn round. Exercises randomness, partial sends, and staggered
-// halting — everything that could diverge under resharding.
+// RNG-drawn round, and now and then sleeps a few rounds through the
+// engine's wake hint (mail still wakes it). Exercises randomness, partial
+// sends, sleeping and staggered halting — everything that could diverge
+// under resharding.
 class scrambler {
 public:
     using message_type = probe_msg;
@@ -42,6 +44,7 @@ public:
         for (port_id p = 0; p < degree_; ++p) {
             if (ctx.rng().bit()) ctx.send(p, probe_msg{ctx.rng()()});
         }
+        if (ctx.rng().below(3) == 0) ctx.sleep_until(ctx.round() + 2 + ctx.rng().below(4));
     }
 
     std::uint64_t digest_ = 0;
@@ -55,6 +58,7 @@ struct run_digest {
     std::vector<std::uint64_t> node_state;
     std::uint64_t rounds = 0;
     std::size_t halted = 0;
+    std::uint64_t node_steps = 0;
     phase_counters totals;
 
     bool operator==(const run_digest&) const = default;
@@ -67,6 +71,7 @@ run_digest run_scrambler(const graph& g, std::size_t node_jobs, std::uint64_t se
     run_digest d;
     d.rounds = eng.run_until_halted(1000);
     d.halted = eng.halted_count();
+    d.node_steps = eng.node_steps();
     d.totals = eng.metrics().total();
     for (std::size_t u = 0; u < g.num_nodes(); ++u) {
         d.node_state.push_back(eng.node(u).digest_);
@@ -119,6 +124,7 @@ TEST(EngineParallel, SharedPoolMatchesOwnedWorkers) {
     run_digest d;
     d.rounds = eng.run_until_halted(1000);
     d.halted = eng.halted_count();
+    d.node_steps = eng.node_steps();
     d.totals = eng.metrics().total();
     for (std::size_t u = 0; u < g.num_nodes(); ++u) {
         d.node_state.push_back(eng.node(u).digest_);

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "graph/generators.h"
+#include "sim/dynamics.h"
 
 namespace anole {
 namespace {
@@ -296,6 +299,111 @@ TEST(Engine, PortPermutationInvariantAggregate) {
         return acc;
     };
     EXPECT_EQ(total(g), total(h));
+}
+
+// --- wake hint (active-set rounds) ------------------------------------------
+
+// Records every round it is stepped. At its first step it asks to sleep
+// until `sleep_to`; it sends on port 0 in round `send_round`.
+class sleeper {
+public:
+    using message_type = test_msg;
+    sleeper(std::uint64_t sleep_to, std::uint64_t send_round)
+        : sleep_to_(sleep_to), send_round_(send_round) {}
+    void on_round(node_ctx<test_msg>& ctx, inbox_view<test_msg> inbox) {
+        if (stepped_.empty() && sleep_to_ > 0) ctx.sleep_until(sleep_to_);
+        stepped_.push_back(ctx.round());
+        heard_ += inbox.size();
+        if (ctx.round() == send_round_) ctx.send(0, test_msg{});
+    }
+    std::vector<std::uint64_t> stepped_;
+    std::size_t heard_ = 0;
+
+private:
+    std::uint64_t sleep_to_;
+    std::uint64_t send_round_;
+};
+
+TEST(Engine, SleepingNodeWakesOnMailOrHintOnly) {
+    const graph g = make_path(2);
+    engine<sleeper> eng(g, 1);
+    // Node 0 stays awake and mails node 1 in round 4 (delivered in 5);
+    // node 1 sleeps until round 10 from round 0 on.
+    eng.spawn([](std::size_t u) {
+        return u == 0 ? sleeper(0, 4) : sleeper(10, UINT64_MAX);
+    });
+    eng.run_rounds(12);
+    EXPECT_EQ(eng.node(0).stepped_.size(), 12u);
+    // Mail wakes it for one round; the sticky hint then holds until 10,
+    // after which a past hint means every round.
+    EXPECT_EQ(eng.node(1).stepped_, (std::vector<std::uint64_t>{0, 5, 10, 11}));
+    EXPECT_EQ(eng.node(1).heard_, 1u);
+    EXPECT_EQ(eng.node_steps(), 16u);
+}
+
+TEST(Engine, NodeStepsCountsEveryOnRoundByDefault) {
+    const graph g = make_cycle(5);
+    engine<chatter> eng(g, 1);
+    eng.spawn([&](std::size_t u) { return chatter(g.degree(u)); });
+    eng.run_rounds(7);
+    EXPECT_EQ(eng.node_steps(), 35u);
+}
+
+TEST(Engine, SleepingNodesIdenticalAcrossNodeJobs) {
+    const graph g = make_cycle(40);
+    auto run = [&](std::size_t node_jobs) {
+        engine<sleeper> eng(g, 3);
+        eng.set_parallelism(nullptr, node_jobs);
+        eng.spawn([](std::size_t u) { return sleeper(u % 7, u % 5 == 0 ? 3 : 9); });
+        eng.run_rounds(12);
+        std::vector<std::uint64_t> out{eng.node_steps()};
+        for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+            const auto& s = eng.node(u).stepped_;
+            out.insert(out.end(), s.begin(), s.end());
+            out.push_back(UINT64_MAX);
+        }
+        return out;
+    };
+    const auto serial = run(1);
+    EXPECT_EQ(run(2), serial);
+    EXPECT_EQ(run(8), serial);
+}
+
+// A node that sleeps for good at its first step: only a fresh instance
+// (a membership rejoin) ever runs it again.
+class hibernator {
+public:
+    using message_type = test_msg;
+    void on_round(node_ctx<test_msg>& ctx, inbox_view<test_msg>) {
+        ++steps_;
+        ctx.sleep_until(UINT64_MAX);
+    }
+    std::uint64_t steps_ = 0;
+};
+
+TEST(Engine, MembershipRejoinClearsWakeHint) {
+    const graph g = make_cycle(12);
+    dynamics_spec spec;
+    spec.leave_prob = 0.2;
+    spec.join_prob = 1.0;
+    engine<hibernator> eng(g, 4);
+    eng.set_dynamics(spec, 4);
+    eng.spawn([](std::size_t) { return hibernator(); });
+    eng.run_rounds(30);
+    const std::uint64_t joins = eng.dynamics()->stats().joins;
+    ASSERT_GT(joins, 0u);
+    // Every present instance ran exactly once: a respawned one in its
+    // rejoin round, despite its predecessor's hint. (An original that
+    // left in round 0's pre-pass never ran.)
+    for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+        if (eng.node_present(u)) {
+            EXPECT_EQ(eng.node(u).steps_, 1u) << "node " << u;
+        } else {
+            EXPECT_LE(eng.node(u).steps_, 1u) << "node " << u;
+        }
+    }
+    EXPECT_GE(eng.node_steps(), joins);
+    EXPECT_LE(eng.node_steps(), g.num_nodes() + joins);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 // experiment sweeps can afford to be; they make no paper claims.
 #include <benchmark/benchmark.h>
 
+#include <iterator>
+#include <vector>
+
 #include "core/diffusion.h"
 #include "graph/generators.h"
 #include "graph/spectral.h"
@@ -44,6 +47,14 @@ void bm_bigint_add(benchmark::State& state) {
 }
 BENCHMARK(bm_bigint_add)->Arg(2)->Arg(16)->Arg(128);
 
+// One exact update of `pot` from `in`, as a diffusing node applies it.
+dyadic diffuse_exact_once(dyadic pot, const std::vector<dyadic>& in) {
+    diffuse_exact upd(pot, in.size(), 64, 6);
+    for (const dyadic& v : in) upd.add(v);
+    upd.finish();
+    return pot;
+}
+
 void bm_dyadic_diffuse_exact(benchmark::State& state) {
     const auto rounds_grown = static_cast<std::size_t>(state.range(0));
     // Pre-grow a mantissa to simulate a potential after `rounds_grown`
@@ -51,21 +62,23 @@ void bm_dyadic_diffuse_exact(benchmark::State& state) {
     dyadic pot = dyadic::one();
     std::vector<dyadic> in(4, dyadic(bigint(1), 1));
     for (std::size_t i = 0; i < rounds_grown; ++i) {
-        pot = diffuse_exact(pot, in, 64, 6);
+        pot = diffuse_exact_once(pot, in);
         for (auto& v : in) v = pot;
     }
     for (auto _ : state) {
-        dyadic next = diffuse_exact(pot, in, 64, 6);
+        dyadic next = diffuse_exact_once(pot, in);
         benchmark::DoNotOptimize(next);
     }
 }
 BENCHMARK(bm_dyadic_diffuse_exact)->Arg(4)->Arg(32)->Arg(128);
 
 void bm_diffuse_approx(benchmark::State& state) {
-    std::vector<double> in{0.25, 0.5, 0.125, 0.0625};
+    const double in[] = {0.25, 0.5, 0.125, 0.0625};
     double pot = 1.0;
     for (auto _ : state) {
-        pot = diffuse_approx(pot, in, 64);
+        diffuse_approx upd(pot, std::size(in), 64);
+        for (const double v : in) upd.add(v);
+        upd.finish();
         benchmark::DoNotOptimize(pot);
     }
 }

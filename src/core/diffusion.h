@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/engine.h"
 #include "util/bit_codec.h"
@@ -39,27 +38,44 @@
 
 namespace anole {
 
-// One diffusion update, exact arithmetic.
-//   pot <- (pot*(D - deg) + Σ incoming) / D,   D = 2^log2_d
-// Requires deg <= D (guaranteed by the degree alarm k^{1+ε} >= |N| and
-// D >= 2k^{1+ε}).
-[[nodiscard]] inline dyadic diffuse_exact(const dyadic& pot,
-                                          const std::vector<dyadic>& incoming,
-                                          std::uint64_t d, std::size_t log2_d) {
-    dyadic acc = pot;
-    acc.mul_small(d - incoming.size());
-    for (const dyadic& in : incoming) acc += in;
-    acc.div_pow2(log2_d);
-    return acc;
-}
+// One diffusion update, applied in place with the incoming potentials
+// supplied one at a time in arrival order:
+//
+//     pot <- (pot·(D − c) + Σ incoming) / D,   D = 2^log2_d,  c = |incoming|
+//
+// Construction scales pot by D − c, add() folds in one incoming potential,
+// finish() divides by D. Revocable LE and diffusion_node both drive it
+// straight from their inboxes in port order, so no per-round buffer is
+// built and the double sum runs in the same order everywhere (dyadic sums
+// are exact in any order). Requires c <= D (guaranteed by the degree alarm
+// k^{1+ε} >= |N| and D >= 2k^{1+ε}).
+class diffuse_exact {
+public:
+    diffuse_exact(dyadic& pot, std::size_t incoming, std::uint64_t d, std::size_t log2_d)
+        : pot_(pot), log2_d_(log2_d) {
+        pot_.mul_small(d - incoming);
+    }
+    void add(const dyadic& in) { pot_ += in; }
+    void finish() { pot_.div_pow2(log2_d_); }
+
+private:
+    dyadic& pot_;
+    std::size_t log2_d_;
+};
 
 // Same update in double arithmetic.
-[[nodiscard]] inline double diffuse_approx(double pot, const std::vector<double>& incoming,
-                                           std::uint64_t d) {
-    double acc = pot * static_cast<double>(d - incoming.size());
-    for (double in : incoming) acc += in;
-    return acc / static_cast<double>(d);
-}
+class diffuse_approx {
+public:
+    diffuse_approx(double& pot, std::size_t incoming, std::uint64_t d) : pot_(pot), d_(d) {
+        pot_ *= static_cast<double>(d - incoming);
+    }
+    void add(double in) noexcept { pot_ += in; }
+    void finish() noexcept { pot_ /= static_cast<double>(d_); }
+
+private:
+    double& pot_;
+    std::uint64_t d_;
+};
 
 // The paper's charged wire size of a potential in diffusion round r
 // (1-based) with share denominator 2^log2_d: the value is a dyadic with
@@ -108,21 +124,19 @@ public:
         if (ctx.round() > 0) {
             // Apply the exchange completed by last round's messages.
             if (exact_) {
-                std::vector<dyadic> in;
-                in.reserve(inbox.size());
+                diffuse_exact upd(pot_x_, inbox.size(), d, log2_d_);
                 for (const auto& [port, msg] : inbox) {
                     (void)port;
-                    in.push_back(msg.pot_x);
+                    upd.add(msg.pot_x);
                 }
-                pot_x_ = diffuse_exact(pot_x_, in, d, log2_d_);
+                upd.finish();
             } else {
-                std::vector<double> in;
-                in.reserve(inbox.size());
+                diffuse_approx upd(pot_d_, inbox.size(), d);
                 for (const auto& [port, msg] : inbox) {
                     (void)port;
-                    in.push_back(msg.pot_d);
+                    upd.add(msg.pot_d);
                 }
-                pot_d_ = diffuse_approx(pot_d_, in, d);
+                upd.finish();
             }
         }
         if (ctx.round() >= rounds_) {
@@ -138,7 +152,7 @@ public:
             m.pot_d = pot_d_;
             m.charged = charged_potential_bits(ctx.round() + 1, log2_d_);
         }
-        for (port_id p = 0; p < degree_; ++p) ctx.send(p, m);
+        ctx.send_all(m);
     }
 
     [[nodiscard]] double potential() const noexcept {

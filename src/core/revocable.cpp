@@ -22,11 +22,7 @@ void revocable_node::on_round(node_ctx<rev_msg>& ctx, inbox_view<rev_msg> inbox)
         } else {
             // Final diffusion exchange applied: threshold alarm
             // (Algorithm 7 line 13), then the dissemination phase opens.
-            if (!q_low_ && potential_above_tau()) {
-                q_low_ = true;
-                pot_d_ = 1.0;
-                pot_x_ = dyadic::one();
-            }
+            if (!q_low_ && potential_above_tau()) alarm();
             phase_ = phase::disseminate;
             round_in_phase_ = 1;
             broadcast(ctx, /*with_potential=*/false);
@@ -68,74 +64,84 @@ void revocable_node::start_estimate(node_ctx<rev_msg>& ctx) {
     d_k_ = p_->dissemination_rounds(k_);
     share_d_ = p_->share_denominator(k_);
     share_log2_ = p_->share_denominator_log2(k_);
+    p_white_ = p_->p_white(k_);
+    degree_in_bound_ = degree_ <= p_->degree_bound(k_);
     iter_ = 0;
     empty_count_ = 0;
     probing_count_ = 0;
 }
 
 void revocable_node::start_iteration(node_ctx<rev_msg>& ctx) {
-    white_ = ctx.rng().bernoulli(p_->p_white(k_));
+    white_ = ctx.rng().bernoulli(p_white_);
     q_low_ = false;
     c_white_ = white_;  // Algorithm 7 line 2
-    if (white_) {
-        pot_d_ = 0.0;
-        pot_x_ = dyadic::zero();
-    } else {
-        pot_d_ = 1.0;
-        pot_x_ = dyadic::one();
-    }
+    set_potential(!white_);
     phase_ = phase::diffuse;
     round_in_phase_ = 0;
 }
 
+// One pass over the inbox. In a probing diffusion round the potentials
+// are folded in port order as they are read; an alarm anywhere in the
+// inbox voids the update (alarm() resets the potential). The leader view
+// is updated in both phases (Algorithm 7 lines 10-12 and 19-21), in port
+// order.
 void revocable_node::apply_exchange(inbox_view<rev_msg> inbox, bool diffusion_update) {
-    if (diffusion_update) {
+    if (diffusion_update && !q_low_ && degree_in_bound_) {
         // Algorithm 7 lines 7-9: probe only while nobody alarms.
-        bool all_probing = !q_low_ && degree_ <= p_->degree_bound(k_);
-        if (all_probing) {
-            for (const auto& [port, msg] : inbox) {
-                (void)port;
-                if (msg.q_low) {
-                    all_probing = false;
-                    break;
-                }
-            }
-        }
-        if (all_probing) {
-            if (p_->exact_potentials) {
-                std::vector<dyadic> in;
-                in.reserve(inbox.size());
-                for (const auto& [port, msg] : inbox) {
-                    (void)port;
-                    in.push_back(msg.pot_x);
-                }
-                pot_x_ = diffuse_exact(pot_x_, in, share_d_, share_log2_);
-            } else {
-                std::vector<double> in;
-                in.reserve(inbox.size());
-                for (const auto& [port, msg] : inbox) {
-                    (void)port;
-                    in.push_back(msg.pot_d);
-                }
-                pot_d_ = diffuse_approx(pot_d_, in, share_d_);
-            }
+        if (p_->exact_potentials) {
+            diffuse_pass(inbox, diffuse_exact(pot_x_, inbox.size(), share_d_, share_log2_),
+                         &rev_msg::pot_x);
         } else {
-            q_low_ = true;
-            pot_d_ = 1.0;
-            pot_x_ = dyadic::one();
+            diffuse_pass(inbox, diffuse_approx(pot_d_, inbox.size(), share_d_),
+                         &rev_msg::pot_d);
         }
-    } else {
-        // Dissemination (Algorithm 7 lines 16-18).
-        for (const auto& [port, msg] : inbox) {
-            (void)port;
+        return;
+    }
+    for (const auto& [port, msg] : inbox) {
+        (void)port;
+        if (!diffusion_update) {
+            // Dissemination (Algorithm 7 lines 16-18).
             if (msg.q_low) q_low_ = true;
             if (msg.c_white) c_white_ = true;
         }
+        if (msg.idldr != 0) consider_leader(msg.idldr, msg.kldr);
     }
-    // Leader-view updates run in both phases (lines 10-12 and 19-21).
+    if (diffusion_update) alarm();
+}
+
+template <class Update, class Pot>
+void revocable_node::diffuse_pass(inbox_view<rev_msg> inbox, Update upd,
+                                  Pot rev_msg::*pot) {
+    bool probing = true;
     for (const auto& [port, msg] : inbox) {
         (void)port;
+        if (probing) {
+            if (msg.q_low) {
+                probing = false;
+            } else {
+                upd.add(msg.*pot);
+            }
+        }
         if (msg.idldr != 0) consider_leader(msg.idldr, msg.kldr);
+    }
+    if (probing) {
+        upd.finish();
+    } else {
+        alarm();
+    }
+}
+
+// Status low, potential back to the black start (Algorithm 7 lines 9, 13).
+void revocable_node::alarm() {
+    q_low_ = true;
+    set_potential(true);
+}
+
+void revocable_node::set_potential(bool black) {
+    if (p_->exact_potentials) {
+        pot_x_ = black ? dyadic::one() : dyadic::zero();
+    } else {
+        pot_d_ = black ? 1.0 : 0.0;
     }
 }
 
@@ -157,7 +163,7 @@ void revocable_node::broadcast(node_ctx<rev_msg>& ctx, bool with_potential) {
         }
     }
     m.charged = bits;
-    for (port_id p = 0; p < degree_; ++p) ctx.send(p, m);
+    ctx.send_all(m);
 }
 
 void revocable_node::end_iteration() {

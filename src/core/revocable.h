@@ -95,6 +95,10 @@ private:
     void start_estimate(node_ctx<rev_msg>& ctx);
     void start_iteration(node_ctx<rev_msg>& ctx);
     void apply_exchange(inbox_view<rev_msg> inbox, bool diffusion_update);
+    template <class Update, class Pot>
+    void diffuse_pass(inbox_view<rev_msg> inbox, Update upd, Pot rev_msg::*pot);
+    void alarm();
+    void set_potential(bool black);
     void broadcast(node_ctx<rev_msg>& ctx, bool with_potential);
     void end_iteration();
     void decide(node_ctx<rev_msg>& ctx);
@@ -111,6 +115,8 @@ private:
     std::uint64_t f_k_ = 0, r_k_ = 0, d_k_ = 0;
     std::uint64_t share_d_ = 0;
     std::size_t share_log2_ = 0;
+    double p_white_ = 0;             // p(k)
+    bool degree_in_bound_ = false;   // degree <= k^{1+ε} (Algorithm 7 line 7)
     std::uint64_t iter_ = 0;
     std::uint64_t empty_count_ = 0, probing_count_ = 0;
 
@@ -120,6 +126,7 @@ private:
     bool white_ = false;
     bool q_low_ = false;
     bool c_white_ = false;
+    // Only the potential of the configured arithmetic mode is maintained.
     double pot_d_ = 1.0;
     dyadic pot_x_ = dyadic::one();
 

@@ -40,6 +40,27 @@
 // bitwise-identical to serial ones. node_steps() counts the on_round
 // calls actually made.
 //
+// --- broadcast payload: ctx.send_all(m) ---
+//
+// A node that sends the same message on every port may call
+// ctx.send_all(m) instead of looping over ctx.send(p, m). The contract:
+//   * at most one send_all per node per round, and no ctx.send in a round
+//     that uses it (both are CONGEST guards, checked in Debug like the
+//     double-send guard);
+//   * it counts exactly as `degree` sends of m: degree messages,
+//     degree × m.bit_size() bits and the same fragmentation charge; a
+//     degree-0 node is charged nothing;
+//   * every out-slot of the sender is still stamped, so liveness stays
+//     per edge: loss, churn, leave/join, sleep, adaptive kills, trace
+//     replay and wake hints see exactly what the per-port loop produces;
+//   * only the payload is shared: it is stored once per sender in a
+//     double-buffered per-node array instead of once per out-slot. A
+//     receiver whose live slot s belongs to a sender that broadcast in
+//     the delivering round reads that sender's payload. The sender is
+//     resolved through the static slot→owner map (owner[s]), never a
+//     neighbour table: port re-wiring permutes slots only inside one
+//     owner's range, so owner[s] stays right after any rewire.
+//
 // --- message transport: flat single-writer slots ---
 //
 // The CONGEST invariant — at most one message per (node, port) per round
@@ -126,6 +147,15 @@ inline constexpr bool congest_guard_checks = true;
 inline constexpr bool congest_guard_checks = false;
 #endif
 
+// The per-sender payloads of the broadcasts (ctx.send_all) a round
+// delivers, shared by every inbox of the round. Engine-owned.
+template <congest_message Msg>
+struct broadcast_payloads {
+    const Msg* msgs = nullptr;              // one payload per sender node
+    const std::uint32_t* stamps = nullptr;  // its delivery stamp
+    const node_id* owner = nullptr;         // static slot -> sender map
+};
+
 // Messages delivered to a node this round, as (arrival port, payload)
 // pairs. A lightweight view over the node's arrival ports: port q's
 // message, if any, sits in the *sender's* staging slot (located via the
@@ -133,7 +163,10 @@ inline constexpr bool congest_guard_checks = false;
 // round's delivery mark. Stamps and payloads live in separate dense
 // arrays so the stamp gathers touch a small array that stays cached.
 // Iteration order is ascending port — deterministic, but protocols must
-// not (and cannot) attribute meaning to it beyond the port labels.
+// not (and cannot) attribute meaning to it beyond the port labels. A
+// live slot whose owner broadcast in the delivering round (ctx.send_all)
+// carries no payload of its own: the owner's per-node payload is read
+// instead. `bcast` is null in rounds that deliver no broadcast.
 template <congest_message Msg>
 class inbox_view {
 public:
@@ -142,7 +175,7 @@ public:
         using value_type = std::pair<port_id, const Msg&>;
 
         value_type operator*() const noexcept {
-            return {pos_, view_->msgs_[view_->peer_[pos_]]};
+            return {pos_, view_->payload(view_->peer_[pos_])};
         }
         iterator& operator++() noexcept {
             ++pos_;
@@ -173,8 +206,10 @@ public:
 
     inbox_view() noexcept = default;  // empty
     inbox_view(const Msg* msgs, const std::uint32_t* stamps, const std::uint32_t* peer,
-               std::uint32_t mark, port_id degree) noexcept
-        : msgs_(msgs), stamps_(stamps), peer_(peer), mark_(mark), degree_(degree) {}
+               std::uint32_t mark, port_id degree,
+               const broadcast_payloads<Msg>* bcast) noexcept
+        : msgs_(msgs), stamps_(stamps), peer_(peer), bcast_(bcast), mark_(mark),
+          degree_(degree) {}
 
     [[nodiscard]] iterator begin() const noexcept { return iterator(this, 0); }
     [[nodiscard]] iterator end() const noexcept { return iterator(this, degree_); }
@@ -203,9 +238,19 @@ public:
 private:
     static constexpr std::uint32_t unknown = 0xffffffffu;
 
+    // The payload of live slot s: its owner's broadcast, else its own.
+    [[nodiscard]] const Msg& payload(std::uint32_t s) const noexcept {
+        if (bcast_ != nullptr) {
+            const node_id u = bcast_->owner[s];
+            if (bcast_->stamps[u] == mark_) return bcast_->msgs[u];
+        }
+        return msgs_[s];
+    }
+
     const Msg* msgs_ = nullptr;
     const std::uint32_t* stamps_ = nullptr;
     const std::uint32_t* peer_ = nullptr;
+    const broadcast_payloads<Msg>* bcast_ = nullptr;
     std::uint32_t mark_ = 0;
     port_id degree_ = 0;
     mutable std::uint32_t count_ = unknown;
@@ -257,6 +302,7 @@ struct engine_round_acc {
     std::uint64_t max_frag = 1;
     std::uint64_t node_steps = 0;
     std::size_t newly_halted = 0;
+    bool broadcast = false;  // some node called send_all
     std::exception_ptr error;
 };
 }  // namespace detail
@@ -284,25 +330,29 @@ public:
         if constexpr (congest_guard_checks) {
             require(out_stamp_[p] != stamp_, "CONGEST violation: double send on port");
         }
-        const std::size_t bits = m.bit_size();
-        if (bits > budget_bits_) [[unlikely]] {
-            // Oversize: reject (strict) or charge fragmentation rounds.
-            // Fitting messages — the designed-for case — skip the division.
-            if (budget_mode_ == budget_mode::strict) {
-                require(false, "CONGEST violation: message of " +
-                                   std::to_string(bits) +
-                                   " bits exceeds per-round budget of " +
-                                   std::to_string(budget_bits_));
-            }
-            if (budget_mode_ == budget_mode::fragment) {
-                const std::uint64_t frag = (bits + budget_bits_ - 1) / budget_bits_;
-                if (frag > max_frag_) max_frag_ = frag;
-            }
-        }
-        ++messages_;
-        bits_ += bits;
+        charge(m.bit_size(), 1);
         out_stamp_[p] = stamp_;
         out_msg_[p] = std::move(m);
+    }
+
+    // Sends `m` on every port: costs exactly what `for p: send(p, m)`
+    // costs, but stores the payload once (see the engine's header comment
+    // for the contract). At most one send_all per round, and no send()
+    // in the same round; violations throw in Debug builds.
+    void send_all(const Msg& m) {
+        if constexpr (congest_guard_checks) {
+            require(*out_bstamp_ != stamp_, "CONGEST violation: send_all twice in a round");
+            for (port_id p = 0; p < degree_; ++p) {
+                require(out_stamp_[p] != stamp_,
+                        "CONGEST violation: send_all after send in a round");
+            }
+        }
+        *out_bstamp_ = stamp_;
+        if (degree_ == 0) return;
+        charge(m.bit_size(), degree_);
+        std::fill_n(out_stamp_, degree_, stamp_);
+        *out_bmsg_ = m;
+        broadcast_ = true;
     }
 
     // Marks this node permanently finished; it is never stepped again.
@@ -318,6 +368,26 @@ private:
     template <class P>
     friend class engine;
 
+    // Tallies `count` messages of `bits` each against the budget.
+    void charge(std::size_t bits, std::size_t count) {
+        if (bits > budget_bits_) [[unlikely]] {
+            // Oversize: reject (strict) or charge fragmentation rounds.
+            // Fitting messages — the designed-for case — skip the division.
+            if (budget_mode_ == budget_mode::strict) {
+                require(false, "CONGEST violation: message of " +
+                                   std::to_string(bits) +
+                                   " bits exceeds per-round budget of " +
+                                   std::to_string(budget_bits_));
+            }
+            if (budget_mode_ == budget_mode::fragment) {
+                const std::uint64_t frag = (bits + budget_bits_ - 1) / budget_bits_;
+                if (frag > max_frag_) max_frag_ = frag;
+            }
+        }
+        messages_ += count;
+        bits_ += static_cast<std::uint64_t>(bits) * count;
+    }
+
     std::size_t degree_ = 0;
     std::uint64_t round_ = 0;
     xoshiro256ss* rng_ = nullptr;
@@ -325,6 +395,9 @@ private:
     // flat buffers (see the engine's transport comment).
     std::uint32_t* out_stamp_ = nullptr;
     Msg* out_msg_ = nullptr;
+    // This node's entries of the next round's per-node broadcast arrays.
+    std::uint32_t* out_bstamp_ = nullptr;
+    Msg* out_bmsg_ = nullptr;
     std::uint32_t stamp_ = 0;
     std::uint64_t* wake_ = nullptr;  // this node's entry of the engine's hints
     std::uint64_t budget_bits_ = 0;
@@ -334,6 +407,7 @@ private:
     std::uint64_t messages_ = 0;
     std::uint64_t bits_ = 0;
     std::uint64_t max_frag_ = 1;
+    bool broadcast_ = false;
     bool halted_flag_ = false;
 };
 
@@ -363,13 +437,19 @@ public:
         // load instead of neighbor + reverse-port + offset arithmetic.
         // (The map is an involution: peer[peer[s]] == s.)
         peer_slot_.resize(slots);
+        slot_owner_.resize(slots);
         for (node_id u = 0; u < n; ++u) {
             const auto deg = static_cast<port_id>(g_.degree(u));
             for (port_id p = 0; p < deg; ++p) {
                 peer_slot_[slot_base_[u] + p] = static_cast<std::uint32_t>(
                     slot_base_[g_.neighbor(u, p)] + g_.reverse_port(u, p));
+                slot_owner_[slot_base_[u] + p] = u;
             }
         }
+        cur_bmsg_.resize(n);
+        nxt_bmsg_.resize(n);
+        cur_bstamp_.assign(n, 0);
+        nxt_bstamp_.assign(n, 0);
         rngs_.reserve(n);
         for (node_id u = 0; u < n; ++u) rngs_.emplace_back(derive_seed(seed, u, 0xA0CE));
         halted_.assign(n, 0);
@@ -499,6 +579,10 @@ public:
         node_steps_ += total.node_steps;
         std::swap(cur_msg_, nxt_msg_);
         std::swap(cur_stamp_, nxt_stamp_);
+        std::swap(cur_bmsg_, nxt_bmsg_);
+        std::swap(cur_bstamp_, nxt_bstamp_);
+        bcast_ = {cur_bmsg_.data(), cur_bstamp_.data(), slot_owner_.data()};
+        cur_broadcast_ = total.broadcast;
         metrics_.count_messages(total.messages, total.bits);
         metrics_.count_round(total.max_frag);
         ++round_;
@@ -619,6 +703,7 @@ private:
                 total.bits += a.bits;
                 total.newly_halted += a.newly_halted;
                 total.node_steps += a.node_steps;
+                total.broadcast = total.broadcast || a.broadcast;
                 if (a.max_frag > total.max_frag) total.max_frag = a.max_frag;
             }
         }
@@ -674,6 +759,9 @@ private:
     void process_range(node_id lo, node_id hi, round_acc& acc) {
         const auto mark = static_cast<std::uint32_t>(round_ + 1);
         const auto stamp = static_cast<std::uint32_t>(round_ + 2);
+        // Null unless some sender broadcast last round, which keeps the
+        // per-port protocols' gathers free of the owner lookup.
+        const broadcast_payloads<message_type>* bcast = cur_broadcast_ ? &bcast_ : nullptr;
         for (node_id u = lo; u < hi; ++u) {
             if (halted_[u] || !present_[u]) continue;
             // Sleeping nodes skip the round entirely; messages delivered
@@ -682,11 +770,13 @@ private:
             if (dyn_ && dyn_->asleep(u, round_)) continue;
             const std::size_t base = slot_base_[u];
             const std::size_t degree = g_.degree(u);
-            const inbox_view<message_type> inbox{cur_msg_.data(), cur_stamp_.data(),
-                                                 peer_slot_.data() + base, mark,
-                                                 static_cast<port_id>(degree)};
             // Wake hint: a sleeping node runs only when mail is live.
-            if (wake_[u] > round_ && inbox.empty()) continue;
+            // Tested before the inbox is built: this visit is the per-node
+            // cost of every round in the sparse protocols.
+            if (wake_[u] > round_ && !has_mail(base, degree, mark)) continue;
+            const inbox_view<message_type> inbox{
+                cur_msg_.data(), cur_stamp_.data(), peer_slot_.data() + base, mark,
+                static_cast<port_id>(degree), bcast};
             ++acc.node_steps;
             node_ctx<message_type> ctx;
             ctx.degree_ = degree;
@@ -694,6 +784,8 @@ private:
             ctx.rng_ = &rngs_[u];
             ctx.out_stamp_ = nxt_stamp_.data() + base;
             ctx.out_msg_ = nxt_msg_.data() + base;
+            ctx.out_bstamp_ = &nxt_bstamp_[u];
+            ctx.out_bmsg_ = &nxt_bmsg_[u];
             ctx.stamp_ = stamp;
             ctx.wake_ = &wake_[u];
             ctx.budget_bits_ = budget_bits_;
@@ -702,11 +794,23 @@ private:
             acc.messages += ctx.messages_;
             acc.bits += ctx.bits_;
             if (ctx.max_frag_ > acc.max_frag) acc.max_frag = ctx.max_frag_;
+            if (ctx.broadcast_) acc.broadcast = true;
             if (ctx.halted_flag_) {
                 halted_[u] = 1;
                 ++acc.newly_halted;
             }
         }
+    }
+
+    // True iff a message is live on one of the in-ports of the node whose
+    // slots start at `base`.
+    [[nodiscard]] bool has_mail(std::size_t base, std::size_t degree,
+                                std::uint32_t mark) const noexcept {
+        const std::uint32_t* peer = peer_slot_.data() + base;
+        for (std::size_t p = 0; p < degree; ++p) {
+            if (cur_stamp_[peer[p]] == mark) return true;
+        }
+        return false;
     }
 
     // The pool rounds are sharded over: the configured one, else an
@@ -724,11 +828,21 @@ private:
     std::unique_ptr<thread_pool> owned_pool_;
     std::vector<std::size_t> slot_base_;  // n+1 CSR offsets into the 2m slots
     std::vector<std::uint32_t> peer_slot_;  // the reverse directed edge's slot
+    std::vector<node_id> slot_owner_;       // static: the sender owning a slot
     // Flat slot transport: one message + one stamp per directed edge,
     // double-buffered and swapped each round. A slot is live iff its
     // stamp == round + 1.
     std::vector<message_type> cur_msg_, nxt_msg_;
     std::vector<std::uint32_t> cur_stamp_, nxt_stamp_;
+    // Broadcast payloads (send_all): one message + one stamp per node,
+    // double-buffered alongside the slots. A live slot whose owner's
+    // stamp == round + 1 reads the owner's payload. cur_broadcast_ says
+    // whether any node broadcast in the round being delivered; bcast_
+    // points inboxes at the current arrays.
+    std::vector<message_type> cur_bmsg_, nxt_bmsg_;
+    std::vector<std::uint32_t> cur_bstamp_, nxt_bstamp_;
+    broadcast_payloads<message_type> bcast_;
+    bool cur_broadcast_ = false;
     std::vector<xoshiro256ss> rngs_;
     std::vector<P> procs_;
     std::function<P(std::size_t)> factory_;  // retained for membership respawns

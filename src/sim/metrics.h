@@ -41,11 +41,14 @@ struct phase_counters {
 
 class sim_metrics {
 public:
-    void begin_phase(const std::string& name) { current_ = name; }
+    void begin_phase(const std::string& name) {
+        current_ = name;
+        cur_.p = nullptr;
+    }
     [[nodiscard]] const std::string& current_phase() const noexcept { return current_; }
 
     void count_round(std::uint64_t congest_cost) noexcept {
-        auto& c = phases_[current_];
+        auto& c = current_counters();
         ++c.rounds;
         c.congest_rounds += congest_cost;
         ++total_.rounds;
@@ -56,7 +59,7 @@ public:
     // Bulk form: the engine accumulates a whole round's sends locally and
     // flushes once, so the per-send hot path never touches the phase map.
     void count_messages(std::uint64_t messages, std::uint64_t bits) noexcept {
-        auto& c = phases_[current_];
+        auto& c = current_counters();
         c.messages += messages;
         c.bits += bits;
         total_.messages += messages;
@@ -73,9 +76,28 @@ public:
     }
 
 private:
+    // The current phase's entry, looked up once per phase rather than per
+    // round (std::map nodes never move). The entry is still created by
+    // the first count, so phases() lists exactly the phases that counted.
+    [[nodiscard]] phase_counters& current_counters() {
+        if (cur_.p == nullptr) cur_.p = &phases_[current_];
+        return *cur_.p;
+    }
+    // A copy must not point into the source's map: copies start unresolved.
+    struct phase_cache {
+        phase_counters* p = nullptr;
+        phase_cache() = default;
+        phase_cache(const phase_cache&) noexcept {}
+        phase_cache& operator=(const phase_cache&) noexcept {
+            p = nullptr;
+            return *this;
+        }
+    };
+
     std::string current_ = "default";
     phase_counters total_;
     std::map<std::string, phase_counters> phases_;
+    phase_cache cur_;
 };
 
 }  // namespace anole

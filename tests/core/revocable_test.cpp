@@ -6,6 +6,7 @@
 
 #include "graph/generators.h"
 #include "graph/properties.h"
+#include "sim/dynamics.h"
 
 namespace anole {
 namespace {
@@ -175,6 +176,76 @@ TEST(Revocable, MessageComplexityIsRoundsTimesEdges) {
     const double per_round = static_cast<double>(r.totals.messages) /
                              static_cast<double>(r.rounds);
     EXPECT_NEAR(per_round, 2.0 * static_cast<double>(g.num_edges()), 2.0);
+}
+
+// --- golden pins --------------------------------------------------------------
+//
+// Bitwise regression pins: rounds, messages, bits, charged CONGEST rounds,
+// the elected ID and the revocation count of fixed (graph, seed) cells,
+// recorded before the engine gained its broadcast payload (send_all) and
+// the single-pass exchange. Covers both potential modes, the campaign's
+// default policy, and dynamics with port re-wiring. A change in any value
+// is a behaviour change, not noise: these runs are deterministic.
+
+struct golden_cell {
+    const char* name;
+    graph g;
+    revocable_params params;
+    std::uint64_t seed;
+    std::uint64_t max_rounds;
+    const char* dynamics;  // preset name
+    std::uint64_t rounds, messages, bits, congest_rounds, leader_id, revocations;
+};
+
+revocable_params exact_scaled(std::optional<double> iso) {
+    auto p = revocable_params::scaled(iso, 0.001, 0.05);
+    p.exact_potentials = true;
+    return p;
+}
+
+revocable_params campaign_policy() {
+    auto p = revocable_params::scaled(std::nullopt, 0.008, 0.05);
+    p.k_cap = 16;
+    return p;
+}
+
+TEST(Revocable, GoldenPins) {
+    auto faithful = revocable_params::paper_faithful();
+    faithful.exact_potentials = false;
+    const graph cycle4 = make_cycle(4);
+    const graph ba16 = make_family(graph_family::barabasi_albert, 16, 1);
+    const graph torus16 = make_family(graph_family::torus, 16, 1);
+    const std::vector<golden_cell> cells = {
+        {"approx_faithful_cycle4", cycle4, faithful, 42, 60'000'000, "static", 68165,
+         545320, 11143526236ull, 43562580, 1570, 4},
+        {"exact_cycle4", cycle4, exact_scaled(isoperimetric_exact(cycle4)), 5, 5'000'000,
+         "static", 1508, 12064, 675620, 3679, 3689822, 4},
+        {"exact_blind_ba12", make_family(graph_family::barabasi_albert, 12, 1),
+         exact_scaled(std::nullopt), 3, 5'000'000, "static", 1969, 82698, 4096071, 2129,
+         23283, 29},
+        {"campaign_ba16_s1", ba16, campaign_policy(), 1, 2'000'000, "static", 6262, 363196,
+         1726963338ull, 468424, 1818714, 36},
+        {"campaign_ba16_s2", ba16, campaign_policy(), 2, 2'000'000, "static", 6262, 363196,
+         1726643636ull, 468338, 915405, 34},
+        {"campaign_torus16_rewire", torus16, campaign_policy(), 3, 2'000'000, "rewire",
+         6263, 400832, 1904736680ull, 468211, 23283, 39},
+        {"campaign_torus16_storm", torus16, campaign_policy(), 3, 30'000, "storm", 30000,
+         1882144, 150520796048ull, 37679117, 0, 0},
+        {"exact_blind_cycle6_rewire", make_cycle(6), exact_scaled(std::nullopt), 4,
+         5'000'000, "rewire", 1969, 23628, 1399520, 3522, 2653671, 7},
+    };
+    for (const golden_cell& c : cells) {
+        const auto r = run_revocable(c.g, c.params, c.seed, c.max_rounds,
+                                     congest_budget::fragmenting(16),
+                                     *dynamics_preset(c.dynamics));
+        EXPECT_EQ(r.rounds, c.rounds) << c.name;
+        EXPECT_EQ(r.totals.messages, c.messages) << c.name;
+        EXPECT_EQ(r.totals.bits, c.bits) << c.name;
+        EXPECT_EQ(r.congest_rounds, c.congest_rounds) << c.name;
+        EXPECT_EQ(r.leader_id, c.leader_id) << c.name;
+        EXPECT_EQ(r.total_revocations, c.revocations) << c.name;
+        EXPECT_TRUE(r.oracle.pass()) << c.name;
+    }
 }
 
 }  // namespace

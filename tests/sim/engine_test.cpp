@@ -106,6 +106,37 @@ TEST(Engine, DoubleSendThrows) {
     EXPECT_THROW(eng.run_rounds(1), error);
 }
 
+// Broadcasts twice, or sends on a port and then broadcasts, in one round:
+// both break the one-message-per-port rule and must throw.
+class double_broadcaster {
+public:
+    using message_type = test_msg;
+    explicit double_broadcaster(bool send_first) : send_first_(send_first) {}
+    void on_round(node_ctx<test_msg>& ctx, inbox_view<test_msg>) {
+        if (send_first_) {
+            ctx.send(0, test_msg{});
+        } else {
+            ctx.send_all(test_msg{});
+        }
+        ctx.send_all(test_msg{});
+    }
+
+private:
+    bool send_first_;
+};
+
+TEST(Engine, DoubleBroadcastThrows) {
+    if (!congest_guard_checks) {
+        GTEST_SKIP() << "CONGEST guards compiled out in Release";
+    }
+    graph g = make_cycle(3);
+    for (const bool send_first : {false, true}) {
+        engine<double_broadcaster> eng(g, 1);
+        eng.spawn([&](std::size_t) { return double_broadcaster(send_first); });
+        EXPECT_THROW(eng.run_rounds(1), error) << "send_first=" << send_first;
+    }
+}
+
 class port_overflow {
 public:
     using message_type = test_msg;

@@ -31,19 +31,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "gate.h"
 #include "graph/generators.h"
 #include "graph/lanczos.h"
 #include "graph/properties.h"
 #include "graph/spectral.h"
 #include "sim/thread_pool.h"
-#include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -207,112 +203,6 @@ struct options {
     std::string check;
 };
 
-struct emitted {
-    std::string title;
-    text_table table;
-};
-
-void emit(std::vector<emitted>& sink, const options& opt, const std::string& title,
-          const text_table& t) {
-    std::cout << "\n== " << title << " ==\n";
-    t.print(std::cout);
-    if (opt.csv) {
-        std::cout << "-- csv --\n";
-        t.print_csv(std::cout);
-    }
-    if (opt.json) {
-        std::cout << "-- json --\n";
-        t.print_json(std::cout, title);
-    }
-    std::cout.flush();
-    sink.push_back(emitted{title, t});
-}
-
-double cell_number(const std::string& s) {
-    std::string clean;
-    for (char c : s) {
-        if (c != ',' && c != 'x') clean.push_back(c);
-    }
-    return std::strtod(clean.c_str(), nullptr);
-}
-
-struct gate_column {
-    std::string title;
-    std::string key;
-    std::string column;
-    bool identity = false;
-};
-
-int run_check(const std::string& path, const std::vector<emitted>& tables,
-              const std::vector<gate_column>& checks) {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "check: cannot open baseline '%s'\n", path.c_str());
-        return 1;
-    }
-    std::map<std::string, json_value> baseline;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        json_value v = json_parse(line);
-        std::string title = v.at("title").as_string();
-        baseline.emplace(std::move(title), std::move(v));
-    }
-    std::map<std::string, json_value> current;
-    for (const auto& e : tables) {
-        std::ostringstream os;
-        e.table.print_json(os, e.title);
-        current.emplace(e.title, json_parse(os.str()));
-    }
-    int failures = 0;
-    for (const auto& c : checks) {
-        auto bit = baseline.find(c.title);
-        auto cit = current.find(c.title);
-        if (bit == baseline.end() || cit == current.end()) {
-            std::fprintf(stderr,
-                         "check: table '%s' missing (baseline: %s, current: %s)\n",
-                         c.title.c_str(), bit == baseline.end() ? "no" : "yes",
-                         cit == current.end() ? "no" : "yes");
-            ++failures;
-            continue;
-        }
-        std::map<std::string, const json_value*> base_rows;
-        for (const auto& row : bit->second.at("rows").as_array()) {
-            base_rows.emplace(row.at(c.key).as_string(), &row);
-        }
-        for (const auto& row : cit->second.at("rows").as_array()) {
-            const std::string& key = row.at(c.key).as_string();
-            auto b = base_rows.find(key);
-            if (b == base_rows.end()) continue;  // new workload: not gated yet
-            const std::string& cur_cell = row.at(c.column).as_string();
-            const std::string& base_cell = b->second->at(c.column).as_string();
-            if (c.identity) {
-                if (cur_cell != "yes") {
-                    std::fprintf(stderr, "check: %s / %s / %s = '%s' (must be 'yes')\n",
-                                 c.title.c_str(), key.c_str(), c.column.c_str(),
-                                 cur_cell.c_str());
-                    ++failures;
-                }
-                continue;
-            }
-            const double cur = cell_number(cur_cell);
-            const double base = cell_number(base_cell);
-            if (base > 0 && cur < base / 3.0) {
-                std::fprintf(stderr,
-                             "check: hard regression: %s / %s / %s = %.3g, "
-                             "baseline %.3g (floor %.3g)\n",
-                             c.title.c_str(), key.c_str(), c.column.c_str(), cur, base,
-                             base / 3.0);
-                ++failures;
-            }
-        }
-    }
-    if (failures == 0) {
-        std::printf("check: OK — all gated columns within 3x of '%s'\n", path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
-}
-
 // --- the bench ---------------------------------------------------------------
 
 int run(const options& opt) {
@@ -359,7 +249,7 @@ int run(const options& opt) {
                     fmt_fixed(new_s, 3), fmt_fixed(legacy_s, 1),
                     fmt_ratio(legacy_s / new_s), to_string(p.mixing_method)});
     }
-    emit(tables, opt, "profile pipeline", t1);
+    emit(tables, opt.csv, opt.json, "profile pipeline", t1);
 
     // --- 2. full profiles at scale (n = 1e5; informational, not gated) ---
     struct scale_case {
@@ -386,7 +276,7 @@ int run(const options& opt) {
                     fmt_fixed(s, 2), fmt_fixed(p.lambda2, 6), fmt_count(p.mixing_time),
                     to_string(p.mixing_method), to_string(p.diameter_method)});
     }
-    emit(tables, opt, "profile at scale", t2);
+    emit(tables, opt.csv, opt.json, "profile at scale", t2);
 
     // --- 3. estimator agreement (identity-gated) ---
     text_table t3({"family", "n", "lambda2 agree", "tmix agree"});
@@ -417,20 +307,13 @@ int run(const options& opt) {
         t3.add_row({to_string(f), fmt_count(n), l_ok ? "yes" : "NO",
                     t_ok ? "yes" : "NO"});
     }
-    emit(tables, opt, "estimator agreement", t3);
+    emit(tables, opt.csv, opt.json, "estimator agreement", t3);
     if (!all_agree) {
         std::fprintf(stderr, "estimator disagreement — spectral pipeline bug\n");
         return 2;
     }
 
-    if (!opt.json_out.empty()) {
-        std::ofstream out(opt.json_out);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n", opt.json_out.c_str());
-            return 2;
-        }
-        for (const auto& e : tables) e.table.print_json(out, e.title);
-    }
+    if (!opt.json_out.empty() && !write_json(opt.json_out, tables)) return 2;
 
     if (!opt.check.empty()) {
         // Gate the speedup ratios (same-host, machine-independent) and

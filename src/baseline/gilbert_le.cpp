@@ -4,13 +4,27 @@
 
 namespace anole {
 
+namespace {
+
+// The first entry of an id-sorted vector whose id is not less than `id`.
+template <class Vec, class Key>
+auto seek(Vec& v, std::uint64_t id, Key key) {
+    return std::lower_bound(v.begin(), v.end(), id,
+                            [&](const auto& e, std::uint64_t x) { return key(e) < x; });
+}
+
+}  // namespace
+
+void gilbert_node::forward_kill(crumb& c) {
+    if (c.kill_sent) return;
+    c.kill_sent = true;
+    out_[c.from].kills.push_back(c.id);
+    out_used_[c.from] = 1;
+}
+
 void gilbert_node::queue_kill(std::uint64_t id) {
-    auto it = crumbs_.find(id);
-    if (it == crumbs_.end() || it->second.kill_sent) return;
-    it->second.kill_sent = true;
-    const port_id p = it->second.from;
-    out_[p].kills.push_back(id);
-    out_used_[p] = 1;
+    const auto it = seek(crumbs_, id, [](const crumb& c) { return c.id; });
+    if (it != crumbs_.end() && it->id == id) forward_kill(*it);
 }
 
 void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
@@ -20,8 +34,8 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
         if (candidate_) {
             id_ = ctx.rng().range(1, p_->id_space());
             mark_max_ = id_;
-            tokens_[id_] = p_->tokens();
-            crumbs_[id_] = {0, true};  // own ID: kills terminate here
+            tokens_.emplace_back(id_, p_->tokens());
+            crumbs_.push_back({id_, 0, true});  // own ID: kills terminate here
         }
         out_.resize(degree_);
         out_used_.assign(degree_, 0);
@@ -46,19 +60,22 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
         for (const auto& [wid, cnt] : msg.walks) {
             // Breadcrumb: first arrival port points back toward the
             // candidate (strictly earlier in time, hence acyclic).
-            crumbs_.try_emplace(wid, crumb{port, false});
+            const auto c = seek(crumbs_, wid, [](const crumb& e) { return e.id; });
+            if (c == crumbs_.end() || c->id != wid) crumbs_.insert(c, crumb{wid, port, false});
             if (wid > mark_max_) {
                 // This territory is dominated: kill every weaker
                 // candidate we hold a breadcrumb for.
                 mark_max_ = wid;
-                for (const auto& [cid, cr] : crumbs_) {
-                    (void)cr;
-                    if (cid < wid) queue_kill(cid);
+                for (std::size_t i = 0; i < crumbs_.size() && crumbs_[i].id < wid; ++i) {
+                    forward_kill(crumbs_[i]);
                 }
             } else if (wid < mark_max_) {
                 queue_kill(wid);  // token walked into stronger territory
             }
-            tokens_[wid] += cnt;  // tokens keep walking regardless
+            // Tokens keep walking regardless.
+            auto t = seek(tokens_, wid, [](const auto& e) { return e.first; });
+            if (t == tokens_.end() || t->first != wid) t = tokens_.emplace(t, wid, 0);
+            t->second += cnt;
         }
         for (std::uint64_t kid : msg.kills) {
             if (candidate_ && kid == id_) {
@@ -77,15 +94,14 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
             for (std::uint64_t t = 0; t < cnt; ++t) {
                 if (ctx.rng().bit()) {
                     const auto p = static_cast<port_id>(ctx.rng().below(degree_));
-                    bool found = false;
-                    for (auto& w : out_[p].walks) {
-                        if (w.first == wid) {
-                            ++w.second;
-                            found = true;
-                            break;
-                        }
+                    // One id's tokens are staged one after another, so its
+                    // entry on a port, if any, is the last one.
+                    auto& walks = out_[p].walks;
+                    if (!walks.empty() && walks.back().first == wid) {
+                        ++walks.back().second;
+                    } else {
+                        walks.emplace_back(wid, 1);
                     }
-                    if (!found) out_[p].walks.emplace_back(wid, 1);
                     out_used_[p] = 1;
                 } else {
                     ++staying;
@@ -93,10 +109,8 @@ void gilbert_node::on_round(node_ctx<gl_msg>& ctx, inbox_view<gl_msg> inbox) {
             }
             cnt = staying;
         }
-        // Drop empty entries to keep the map small.
-        for (auto it = tokens_.begin(); it != tokens_.end();) {
-            it = it->second == 0 ? tokens_.erase(it) : std::next(it);
-        }
+        // Drop empty entries to keep the list small.
+        std::erase_if(tokens_, [](const auto& t) { return t.second == 0; });
     } else {
         tokens_.clear();  // walk phase over; only kills continue
     }

@@ -33,7 +33,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -109,11 +109,13 @@ public:
 
 private:
     struct crumb {
+        std::uint64_t id;  // the candidate whose walk left it
         port_id from;      // first-arrival port: points back toward the candidate
         bool kill_sent;    // dedup: forward each kill at most once
     };
 
     void queue_kill(std::uint64_t id);
+    void forward_kill(crumb& c);
 
     std::size_t degree_;
     const gilbert_params* p_;
@@ -128,8 +130,10 @@ private:
     std::uint64_t id_ = 0;
     std::uint64_t mark_max_ = 0;
 
-    std::map<std::uint64_t, crumb> crumbs_;
-    std::map<std::uint64_t, std::uint64_t> tokens_;  // id -> resident count
+    // Both sorted by id. A node holds a few ids at most, so flat vectors
+    // beat node-based maps in memory and in lookups.
+    std::vector<crumb> crumbs_;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> tokens_;  // (id, resident count)
     // Staged per-port output, rebuilt each round.
     std::vector<gl_msg> out_;
     std::vector<char> out_used_;

@@ -40,6 +40,31 @@
 // bitwise-identical to serial ones. node_steps() counts the on_round
 // calls actually made.
 //
+// --- wake calendar: a round costs O(candidates), not O(n) ---
+//
+// A round visits only its candidates, in ascending node order, and steps
+// those that pass the predicate above. The candidates are
+//   * the nodes without a future hint (the previous round's "awake"
+//     filings),
+//   * the nodes whose hint comes due: a wake_calendar holds one entry per
+//     node sleeping beyond the next round, keyed by its wake round, and
+//     moves or drops it when the node re-hints,
+//   * the receivers of the previous round's sends, filed by each sender
+//     from its staged out-slots (rewiring relabels ports but never
+//     changes the node at an edge's far end, so this survives the
+//     dynamics pass), and
+//   * the nodes the dynamics pass rejoined.
+// Every live node is a candidate or holds a calendar entry, so the
+// visited set is a superset of the stepped set and the steps — and every
+// message, RNG draw and cost counter — are those of a full scan. Filings
+// are recorded only while the calendar is non-empty at the start of a
+// round; a round after one that did not record visits every node (the
+// first sleepers' round costs one full visit). Protocols that never hint
+// therefore keep the plain every-node loop and file nothing. Shards file
+// into their own lists, read serially in shard order between rounds, so
+// there are no cross-shard writes. Memory: the calendar and filings are
+// O(n), whatever the number of re-hints.
+//
 // --- broadcast payload: ctx.send_all(m) ---
 //
 // A node that sends the same message on every port may call
@@ -116,6 +141,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -126,6 +152,7 @@
 #include "sim/dynamics.h"
 #include "sim/metrics.h"
 #include "sim/thread_pool.h"
+#include "sim/wake_calendar.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -305,6 +332,17 @@ struct engine_round_acc {
     bool broadcast = false;  // some node called send_all
     std::exception_ptr error;
 };
+
+// What one shard of a round files for the next round's candidates (see
+// the engine's wake-calendar comment). Each shard writes only its own
+// lists; the engine reads them serially, in shard order, between rounds.
+// Cache-line aligned so adjacent shards' vector headers do not
+// false-share.
+struct alignas(64) wake_lists {
+    std::vector<node_id> awake;      // live, no future hint (ascending)
+    std::vector<node_id> receivers;  // reached by this round's sends
+    std::vector<node_id> rehint;     // calendar entry to set or drop
+};
 }  // namespace detail
 
 template <congest_message Msg>
@@ -323,15 +361,15 @@ public:
     // lookup, no scattered write — with cost counters kept right here in
     // the (stack-hot) context and folded into the round totals after
     // on_round returns.
-    void send(port_id p, Msg m) {
-        if constexpr (congest_guard_checks) {
-            require(p < degree_, "node_ctx::send: port out of range");
-        }
-        if constexpr (congest_guard_checks) {
-            require(out_stamp_[p] != stamp_, "CONGEST violation: double send on port");
-        }
-        charge(m.bit_size(), 1);
-        out_stamp_[p] = stamp_;
+    //
+    // An lvalue is copy-assigned into the slot, so a slot whose payload
+    // owns heap buffers keeps their capacity from round to round.
+    void send(port_id p, const Msg& m) {
+        stage(p, m.bit_size());
+        out_msg_[p] = m;
+    }
+    void send(port_id p, Msg&& m) {
+        stage(p, m.bit_size());
         out_msg_[p] = std::move(m);
     }
 
@@ -362,11 +400,26 @@ public:
     // Wake hint (see the engine's header comment): do not step this node
     // before round r unless mail arrives. Sticky until overwritten;
     // sleep_until(0) restores the every-round default.
-    void sleep_until(std::uint64_t r) noexcept { *wake_ = r; }
+    void sleep_until(std::uint64_t r) noexcept {
+        *wake_ = r;
+        hinted_ = true;
+    }
 
 private:
     template <class P>
     friend class engine;
+
+    // The guards, the charge and the stamp of one send on port p.
+    void stage(port_id p, std::size_t bits) {
+        if constexpr (congest_guard_checks) {
+            require(p < degree_, "node_ctx::send: port out of range");
+        }
+        if constexpr (congest_guard_checks) {
+            require(out_stamp_[p] != stamp_, "CONGEST violation: double send on port");
+        }
+        charge(bits, 1);
+        out_stamp_[p] = stamp_;
+    }
 
     // Tallies `count` messages of `bits` each against the budget.
     void charge(std::size_t bits, std::size_t count) {
@@ -408,6 +461,7 @@ private:
     std::uint64_t bits_ = 0;
     std::uint64_t max_frag_ = 1;
     bool broadcast_ = false;
+    bool hinted_ = false;  // sleep_until was called
     bool halted_flag_ = false;
 };
 
@@ -422,7 +476,7 @@ public:
     // The engine references (not copies) the graph; keep it alive.
     engine(const graph& g, std::uint64_t seed, congest_budget budget = {})
         : g_(g), budget_(budget), budget_bits_(budget.resolve(g.num_nodes())),
-          par_(ambient_engine_parallelism()) {
+          par_(ambient_engine_parallelism()), cal_(g.num_nodes()) {
         const std::size_t n = g_.num_nodes();
         slot_base_.resize(n + 1, 0);
         for (node_id u = 0; u < n; ++u) slot_base_[u + 1] = slot_base_[u] + g_.degree(u);
@@ -454,6 +508,9 @@ public:
         for (node_id u = 0; u < n; ++u) rngs_.emplace_back(derive_seed(seed, u, 0xA0CE));
         halted_.assign(n, 0);
         wake_.assign(n, 0);
+        all_nodes_.resize(n);
+        std::iota(all_nodes_.begin(), all_nodes_.end(), node_id{0});
+        cand_tag_.assign(n, 0);
         present_.assign(n, 1);
         crashed_.assign(n, 0);
         present_count_ = n;
@@ -553,13 +610,14 @@ public:
         // honest.
         require(round_ < 0xfffffffdull, "engine::step: stamp space exhausted");
         if (dyn_) apply_dynamics();
-        const std::size_t n = g_.num_nodes();
-        const std::size_t shards =
-            par_.node_jobs <= 1 ? 1 : std::min(par_.node_jobs, n);
+        // Receivers and awake nodes are filed only while some node sleeps
+        // on a future hint: protocols that never hint file nothing.
+        const bool record = !cal_.empty();
+        const std::vector<node_id>& cand = plan_candidates();
 
         round_acc total;
         try {
-            run_shards(n, shards, total);
+            run_shards(cand, record, total);
         } catch (...) {
             // Mid-round failure (e.g. a strict-budget violation): nodes
             // that halted earlier this round already have their flag set
@@ -572,9 +630,23 @@ public:
                 if (present_[u] && halted_[u]) ++halted;
             }
             halted_count_ = halted;
+            // The round's filings are incomplete: drop them, rebuild the
+            // calendar from the hints and visit every node next round.
+            for (auto& l : lists_) {
+                l.awake.clear();
+                l.receivers.clear();
+                l.rehint.clear();
+            }
+            for (node_id u = 0; u < g_.num_nodes(); ++u) refile(u);
+            listed_ = false;
             throw;
         }
 
+        for (auto& l : lists_) {
+            for (const node_id u : l.rehint) refile(u);
+            l.rehint.clear();
+        }
+        listed_ = record;
         halted_count_ += total.newly_halted;
         node_steps_ += total.node_steps;
         std::swap(cur_msg_, nxt_msg_);
@@ -661,9 +733,12 @@ private:
 
     // Replaces u's protocol instance with a freshly constructed one (its
     // RNG stream continues — streams are per node index, not per
-    // incarnation, so determinism is unaffected) and clears its wake hint.
+    // incarnation, so determinism is unaffected), clears its wake hint and
+    // makes it a candidate of this round.
     void respawn(node_id u) {
         wake_[u] = 0;
+        cal_.erase(u);
+        rejoined_.push_back(u);
         if constexpr (std::is_move_assignable_v<P>) {
             procs_[u] = factory_(static_cast<std::size_t>(u));
         } else {
@@ -672,24 +747,79 @@ private:
         }
     }
 
-    // The body of one round: process every shard and reduce its costs
-    // into `total`; throws propagate (first shard wins in sharded mode).
-    void run_shards(std::size_t n, std::size_t shards, round_acc& total) {
+    // This round's candidates, in ascending node order, consuming what
+    // the previous round filed. Every node, unless the previous round
+    // recorded; then the nodes it left awake, the nodes whose calendar
+    // entry comes due now, the receivers of its sends and the nodes that
+    // rejoined in this round's dynamics pass. A superset of the nodes the
+    // round steps: the per-node predicate in process_range decides.
+    const std::vector<node_id>& plan_candidates() {
+        if (!listed_) {
+            cal_.pop_due(round_, [](node_id) {});  // visited anyway
+            rejoined_.clear();
+            return all_nodes_;
+        }
+        const auto tag = static_cast<std::uint32_t>(round_ + 1);
+        awake_.clear();
+        extra_.clear();
+        for (const auto& l : lists_) {
+            for (const node_id u : l.awake) cand_tag_[u] = tag;
+            awake_.insert(awake_.end(), l.awake.begin(), l.awake.end());
+        }
+        const auto add = [&](node_id u) {
+            if (cand_tag_[u] == tag) return;
+            cand_tag_[u] = tag;
+            extra_.push_back(u);
+        };
+        cal_.pop_due(round_, add);
+        for (auto& l : lists_) {
+            for (const node_id u : l.receivers) add(u);
+            l.awake.clear();
+            l.receivers.clear();
+        }
+        for (const node_id u : rejoined_) add(u);
+        rejoined_.clear();
+        std::sort(extra_.begin(), extra_.end());
+        cand_.resize(awake_.size() + extra_.size());
+        std::merge(awake_.begin(), awake_.end(), extra_.begin(), extra_.end(), cand_.begin());
+        return cand_;
+    }
+
+    // Files u in the calendar iff it is live and its hint lies beyond the
+    // next round. Serial: between rounds only.
+    void refile(node_id u) {
+        if (present_[u] && !halted_[u] && wake_[u] > round_ + 1) {
+            cal_.set(u, wake_[u]);
+        } else {
+            cal_.erase(u);
+        }
+    }
+
+    // The body of one round: process the candidates in contiguous shards
+    // and reduce their costs into `total`; throws propagate (first shard
+    // wins in sharded mode).
+    void run_shards(const std::vector<node_id>& cand, bool record, round_acc& total) {
+        const std::size_t count = cand.size();
+        const std::size_t shards =
+            par_.node_jobs <= 1 ? 1 : std::min(par_.node_jobs, count);
+        if (lists_.size() < std::max<std::size_t>(shards, 1)) {
+            lists_.resize(std::max<std::size_t>(shards, 1));
+        }
         if (shards <= 1) {
-            process_range(0, static_cast<node_id>(n), total);
+            process_range(cand.data(), count, record, total, lists_[0]);
         } else {
             accs_.clear();
             accs_.resize(shards);
             thread_pool& pool = shard_pool();
             pool.parallel_for(shards, [&](std::size_t s) {
-                const node_id lo = static_cast<node_id>(n * s / shards);
-                const node_id hi = static_cast<node_id>(n * (s + 1) / shards);
+                const std::size_t lo = count * s / shards;
+                const std::size_t hi = count * (s + 1) / shards;
                 // Accumulate on the worker's own stack; adjacent accs_
                 // elements share cache lines, so writing them per node
                 // would false-share across shards.
                 round_acc local;
                 try {
-                    process_range(lo, hi, local);
+                    process_range(cand.data() + lo, hi - lo, record, local, lists_[s]);
                 } catch (...) {
                     local.error = std::current_exception();
                 }
@@ -752,53 +882,95 @@ public:
     void set_phase(const std::string& name) { metrics_.begin_phase(name); }
 
 private:
-    // Runs on_round for every live node in [lo, hi), staging sends and
-    // accumulating costs into `acc`. In sharded rounds each shard owns a
-    // disjoint range; all cross-shard writes land in slots owned by
-    // exactly one (sender, port) pair, so ranges never contend.
-    void process_range(node_id lo, node_id hi, round_acc& acc) {
+    // Runs on_round for the candidates cand[0, count) that the round
+    // steps, staging sends and accumulating costs into `acc`, and files
+    // each live candidate for the next round into `out`. In sharded
+    // rounds each shard owns a disjoint run of candidates; all
+    // cross-shard writes land in slots owned by exactly one (sender,
+    // port) pair, and the filings in the shard's own lists, so shards
+    // never contend. The only loop that calls on_round.
+    void process_range(const node_id* cand, std::size_t count, bool record, round_acc& acc,
+                       detail::wake_lists& out) {
         const auto mark = static_cast<std::uint32_t>(round_ + 1);
         const auto stamp = static_cast<std::uint32_t>(round_ + 2);
+        const std::uint64_t next = round_ + 1;
         // Null unless some sender broadcast last round, which keeps the
         // per-port protocols' gathers free of the owner lookup.
         const broadcast_payloads<message_type>* bcast = cur_broadcast_ ? &bcast_ : nullptr;
-        for (node_id u = lo; u < hi; ++u) {
-            if (halted_[u] || !present_[u]) continue;
-            // Sleeping nodes skip the round entirely; messages delivered
-            // to them this round expire unread (stamps only grow).
-            // asleep() is read-only, so the shard stays race-free.
-            if (dyn_ && dyn_->asleep(u, round_)) continue;
+        for (std::size_t i = 0; i < count; ++i) {
+            const node_id u = cand[i];
+            if (halted_[u] || !present_[u]) {
+                if (record && cal_.key(u) != 0) out.rehint.push_back(u);
+                continue;
+            }
             const std::size_t base = slot_base_[u];
             const std::size_t degree = g_.degree(u);
-            // Wake hint: a sleeping node runs only when mail is live.
-            // Tested before the inbox is built: this visit is the per-node
-            // cost of every round in the sparse protocols.
-            if (wake_[u] > round_ && !has_mail(base, degree, mark)) continue;
-            const inbox_view<message_type> inbox{
-                cur_msg_.data(), cur_stamp_.data(), peer_slot_.data() + base, mark,
-                static_cast<port_id>(degree), bcast};
-            ++acc.node_steps;
-            node_ctx<message_type> ctx;
-            ctx.degree_ = degree;
-            ctx.round_ = round_;
-            ctx.rng_ = &rngs_[u];
-            ctx.out_stamp_ = nxt_stamp_.data() + base;
-            ctx.out_msg_ = nxt_msg_.data() + base;
-            ctx.out_bstamp_ = &nxt_bstamp_[u];
-            ctx.out_bmsg_ = &nxt_bmsg_[u];
-            ctx.stamp_ = stamp;
-            ctx.wake_ = &wake_[u];
-            ctx.budget_bits_ = budget_bits_;
-            ctx.budget_mode_ = budget_.mode;
-            procs_[u].on_round(ctx, inbox);
-            acc.messages += ctx.messages_;
-            acc.bits += ctx.bits_;
-            if (ctx.max_frag_ > acc.max_frag) acc.max_frag = ctx.max_frag_;
-            if (ctx.broadcast_) acc.broadcast = true;
-            if (ctx.halted_flag_) {
-                halted_[u] = 1;
-                ++acc.newly_halted;
+            // Sleeping nodes skip the round entirely; messages delivered
+            // to them this round expire unread (stamps only grow).
+            // asleep() is read-only, so the shard stays race-free. Wake
+            // hint: a node sleeping on one runs only when mail is live,
+            // tested before the inbox is built.
+            if (!(dyn_ && dyn_->asleep(u, round_)) &&
+                (wake_[u] <= round_ || has_mail(base, degree, mark))) {
+                const inbox_view<message_type> inbox{
+                    cur_msg_.data(), cur_stamp_.data(), peer_slot_.data() + base, mark,
+                    static_cast<port_id>(degree), bcast};
+                ++acc.node_steps;
+                node_ctx<message_type> ctx;
+                ctx.degree_ = degree;
+                ctx.round_ = round_;
+                ctx.rng_ = &rngs_[u];
+                ctx.out_stamp_ = nxt_stamp_.data() + base;
+                ctx.out_msg_ = nxt_msg_.data() + base;
+                ctx.out_bstamp_ = &nxt_bstamp_[u];
+                ctx.out_bmsg_ = &nxt_bmsg_[u];
+                ctx.stamp_ = stamp;
+                ctx.wake_ = &wake_[u];
+                ctx.budget_bits_ = budget_bits_;
+                ctx.budget_mode_ = budget_.mode;
+                procs_[u].on_round(ctx, inbox);
+                acc.messages += ctx.messages_;
+                acc.bits += ctx.bits_;
+                if (ctx.max_frag_ > acc.max_frag) acc.max_frag = ctx.max_frag_;
+                if (ctx.broadcast_) acc.broadcast = true;
+                if (ctx.halted_flag_) {
+                    halted_[u] = 1;
+                    ++acc.newly_halted;
+                    if (record && cal_.key(u) != 0) out.rehint.push_back(u);
+                    continue;
+                }
+                if (record) {
+                    if (ctx.messages_ != 0) file_receivers(base, degree, stamp, out);
+                } else if (!ctx.hinted_) {
+                    continue;
+                }
+            } else if (!record) {
+                // Outside recording rounds no node holds a future hint
+                // (the calendar is empty), so a skipped node files nothing.
+                continue;
             }
+            // u stays live: a future hint needs its calendar entry, any
+            // other hint makes it a candidate of the next round.
+            const std::uint64_t w = wake_[u];
+            if (w > next) {
+                if (cal_.key(u) != w) out.rehint.push_back(u);
+            } else if (record) {
+                if (cal_.key(u) != 0) out.rehint.push_back(u);
+                out.awake.push_back(u);
+            }
+        }
+    }
+
+    // Files the receiver of every message the node whose slots start at
+    // `base` staged this round. Rewiring only relabels ports, never the
+    // node at the other end of an edge, so the receiver is exact even
+    // when the next round's dynamics pass relocates the payload.
+    void file_receivers(std::size_t base, std::size_t degree, std::uint32_t stamp,
+                        detail::wake_lists& out) const {
+        const std::uint32_t* staged = nxt_stamp_.data() + base;
+        const std::uint32_t* peer = peer_slot_.data() + base;
+        for (std::size_t p = 0; p < degree; ++p) {
+            if (staged[p] == stamp) out.receivers.push_back(slot_owner_[peer[p]]);
         }
     }
 
@@ -850,6 +1022,17 @@ private:
     // Wake hints: node u is not stepped before round wake_[u] unless it
     // has mail. Written only from u's own on_round (or a serial respawn).
     std::vector<std::uint64_t> wake_;
+    // Wake calendar (see the header comment): entries for the nodes whose
+    // hint lies beyond the next round, the shards' filings, and the
+    // round's candidate list. listed_ says the previous round recorded,
+    // so this round may visit a candidate list instead of every node.
+    wake_calendar cal_;
+    std::vector<detail::wake_lists> lists_;
+    std::vector<node_id> all_nodes_;  // 0..n-1: the candidates of a full round
+    std::vector<node_id> cand_, awake_, extra_;
+    std::vector<node_id> rejoined_;   // respawned in this round's dynamics pass
+    std::vector<std::uint32_t> cand_tag_;  // round + 1 once u is a candidate
+    bool listed_ = false;
     std::vector<char> present_;  // 0 = departed (left the network)
     std::vector<char> crashed_;  // 1 = silenced by a crash fault
     // Status snapshot for the adaptive adversary, refreshed serially

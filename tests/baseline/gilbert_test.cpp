@@ -88,6 +88,22 @@ TEST(Gilbert, UnderTokenedFailsDetectably) {
     EXPECT_GE(multi, 1u);
 }
 
+// Counts pinned before the send path kept slot buffers and tokens were
+// staged through the last walk entry: both must leave every message and
+// bit as it was. Profiled parameters, topology seed 1.
+TEST(Gilbert, PinnedCountsOnBa2048) {
+    const graph g = make_family(graph_family::barabasi_albert, 2048, 1);
+    const auto p = params_for(g);
+    const std::uint64_t messages[] = {3'114'326, 2'229'108, 3'573'766};
+    const std::uint64_t bits[] = {394'799'037, 243'236'478, 488'376'755};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const auto r = run_gilbert(g, p, seed);
+        EXPECT_EQ(r.rounds, 1'387u) << "seed " << seed;
+        EXPECT_EQ(r.totals.messages, messages[seed - 1]) << "seed " << seed;
+        EXPECT_EQ(r.totals.bits, bits[seed - 1]) << "seed " << seed;
+    }
+}
+
 TEST(Gilbert, ParamValidation) {
     graph g = make_cycle(8);
     gilbert_params p;

@@ -7,6 +7,8 @@
 // the realized dynamics schedule and the oracle verdict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -226,6 +228,29 @@ TEST(IrrevocableWake, NodeStepsAreAFractionOfRoundsTimesN) {
         << "node_steps " << r.node_steps << ", rounds " << r.rounds;
     // Same run, same count.
     EXPECT_EQ(run_irrevocable(g, p, 1).node_steps, r.node_steps);
+}
+
+// Deterministic work counters pinned at the full-scan engine, so the
+// wake calendar visits a superset of the stepped nodes and never changes
+// which ones step: profiled parameters, topology seed 1, run seeds 1/2.
+TEST(IrrevocableSteps, NodeStepsPinnedOnScaleFree) {
+    const std::pair<std::size_t, std::array<std::uint64_t, 2>> pins[] = {
+        {1024, {214'788, 130'147}},
+        {4096, {883'987, 683'902}},
+    };
+    for (const auto& [n, steps] : pins) {
+        const graph g = make_family(graph_family::barabasi_albert, n, 1);
+        const auto prof = profile(g, 1);
+        irrevocable_params p;
+        p.n = g.num_nodes();
+        p.tmix = std::max<std::uint64_t>(prof.mixing_time, 1);
+        p.phi = prof.conductance;
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            const irrevocable_result r = run_irrevocable(g, p, seed);
+            EXPECT_EQ(r.node_steps, steps[seed - 1]) << "ba(" << n << ") seed " << seed;
+            EXPECT_TRUE(r.oracle.pass()) << r.oracle.summary();
+        }
+    }
 }
 
 }  // namespace
